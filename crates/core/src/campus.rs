@@ -537,7 +537,7 @@ impl Campus {
         // subject, so viewport similarity is left to the grouping step).
         {
             let _span = obs::span("campus.room.rss");
-            coord.assign(engines, local_pos);
+            coord.assign(engines, local_pos, &[], 0.0);
         }
         stats.interference_margin_db = coord.min_interference_margin_db;
         let ap_of = &coord.user_ap;

@@ -62,7 +62,7 @@ pub use config::SystemConfig;
 pub use error::VolcastError;
 pub use grouping::{Group, GroupPlan, GroupPlanner, GroupingInputs};
 pub use mitigation::{BlockageMitigator, MitigationAction, MitigationMode};
-pub use multi_ap::{ApAssignment, EpochCoordinator, MultiApCoordinator};
+pub use multi_ap::EpochCoordinator;
 pub use player::{max_sustainable_fps, PlayerKind};
 pub use qoe::{QoeReport, UserQoe};
 pub use rate_adapt::{

@@ -645,7 +645,7 @@ impl SessionServer {
 mod tests {
     use super::*;
     use volcast_net::StreamWriter;
-    use volcast_util::par::set_thread_count;
+    use volcast_util::par::with_thread_count;
     use volcast_viewport::UserStudy;
 
     fn tiny_stream(frames: usize, payload: usize) -> Vec<u8> {
@@ -713,11 +713,8 @@ mod tests {
             ..tiny_params()
         };
         let srv = SessionServer::new(params, stream, traces).unwrap();
-        set_thread_count(1);
-        let serial = srv.run().unwrap();
-        set_thread_count(8);
-        let parallel = srv.run().unwrap();
-        set_thread_count(4);
+        let serial = with_thread_count(1, || srv.run().unwrap());
+        let parallel = with_thread_count(8, || srv.run().unwrap());
         assert_eq!(serial, parallel);
         assert_ne!(serial.outcome_hash, 0);
     }
@@ -821,11 +818,8 @@ mod tests {
             ..tiny_params()
         };
         let srv = SessionServer::new(params, stream, traces).unwrap();
-        set_thread_count(1);
-        let serial = srv.run().unwrap();
-        set_thread_count(8);
-        let parallel = srv.run().unwrap();
-        set_thread_count(4);
+        let serial = with_thread_count(1, || srv.run().unwrap());
+        let parallel = with_thread_count(8, || srv.run().unwrap());
         assert_eq!(serial, parallel);
         assert_ne!(serial.outcome_hash, 0);
     }

@@ -29,7 +29,7 @@ use crate::mitigation::{BlockageMitigator, MitigationAction, MitigationMode};
 use crate::player::PlayerKind;
 use crate::qoe::QoeReport;
 use crate::rate_adapt::{AbrPolicy, Distress, FecRung, GroupState, RateAdapter};
-use volcast_mmwave::{Blocker, Channel, Codebook, McsTable, MultiLobeDesigner};
+use volcast_mmwave::{Blocker, Channel, Codebook, GroupBeam, McsTable, SweepEngine, SweepRx};
 use volcast_net::{
     AcMac, AdMac, BacklogPolicy, FaultConfig, FaultPlan, MacModel, SimTime, Simulator,
     TransmissionPlan, TxItem, Wifi5Channel,
@@ -301,7 +301,7 @@ impl StreamingSession {
         let interval = cfg.frame_interval_s();
         let grid = CellGrid::new(cfg.cell_size);
         let planner = GroupPlanner::new(cfg);
-        let designer = MultiLobeDesigner::new(&self.channel, &self.codebook);
+        let engine = SweepEngine::new(&self.channel, &self.codebook);
         let mitigator = BlockageMitigator::new(self.params.mitigation);
         let forecaster = BlockageForecaster::new(self.channel.array.position);
         let mut joint = JointPredictor::new(n, cfg.predictor_window, Default::default());
@@ -330,6 +330,11 @@ impl StreamingSession {
         let mut unserved = vec![false; n];
         let mut needed_bytes = vec![0.0f64; n];
         let mut outage_pending: Vec<f64> = Vec::with_capacity(n);
+        // Group-beam state: one sweep receiver per user, re-prepared every
+        // frame, and one design reused by every probe.
+        let mut beam_rxs: Vec<SweepRx> = Vec::new();
+        beam_rxs.resize_with(n, SweepRx::new);
+        let mut group_beam = GroupBeam::default();
         let mut analysis_cloud = volcast_pointcloud::PointCloud::new();
         // Analysis clouds are produced a GOP (one second of frames) at a
         // time: each slot generates its frame independently, so the batch
@@ -750,35 +755,32 @@ impl StreamingSession {
                     }
                 }
                 PlayerKind::Volcast => {
-                    let positions: Vec<_> = planning_poses.iter().map(|p| p.position).collect();
-                    // Beam designs are deterministic per member set within
-                    // a frame; memoize them — the greedy grouping search
-                    // probes the same candidate sets repeatedly.
-                    let rate_cache: std::cell::RefCell<std::collections::HashMap<Vec<usize>, f64>> =
-                        std::cell::RefCell::new(std::collections::HashMap::new());
+                    // All bodies block — including other group members
+                    // (joining a group does not move anyone's body). Each
+                    // receiver's own cylinder is excluded by the channel's
+                    // endpoint guard.
+                    for (rx, pose) in beam_rxs.iter_mut().zip(&planning_poses) {
+                        rx.prepare(&engine, pose.position, &all_blockers);
+                    }
+                    let beam_state = std::cell::RefCell::new((&mut beam_rxs, &mut group_beam));
+                    // Designs the group beam (common RSS, customized?).
+                    // The greedy grouping search probes the same member
+                    // sets repeatedly; those repeats hit the receivers'
+                    // per-sector caches.
+                    let design = |members: &[usize]| -> (f64, bool) {
+                        let _span = obs::span("mmwave.designer.design");
+                        let mut state = beam_state.borrow_mut();
+                        let (rxs, beam) = &mut *state;
+                        engine.design_into(rxs, members, self.params.custom_beams, beam);
+                        (beam.common_rss_dbm(), beam.customized)
+                    };
                     let group_rate = |members: &[usize]| -> f64 {
                         if is_wifi5 {
                             // Group-addressed frames at the legacy basic
                             // rate — why ac multicast doesn't pay off.
                             return self.wifi5.multicast_basic_rate_mbps;
                         }
-                        if let Some(&r) = rate_cache.borrow().get(members) {
-                            return r;
-                        }
-                        let pts: Vec<_> = members.iter().map(|&u| positions[u]).collect();
-                        // All bodies block — including other group members
-                        // (joining a group does not move anyone's body).
-                        // Each receiver's own cylinder is excluded by the
-                        // channel's endpoint guard.
-                        let min_rss = if self.params.custom_beams {
-                            designer.design(&pts, &all_blockers).common_rss_dbm()
-                        } else {
-                            let (_, rss) = designer.best_common_sector(&pts, &all_blockers);
-                            rss.into_iter().fold(f64::INFINITY, f64::min)
-                        };
-                        let r = self.mcs.phy_rate_mbps(min_rss);
-                        rate_cache.borrow_mut().insert(members.to_vec(), r);
-                        r
+                        self.mcs.phy_rate_mbps(design(members).0)
                     };
                     // Unit (analysis-density) byte needs per member.
                     let member_unit: Vec<f64> = maps
@@ -864,12 +866,8 @@ impl StreamingSession {
                             let mut base_idx = None;
                             if group_active {
                                 multicast_groups += 1;
-                                if self.params.custom_beams && !is_wifi5 {
-                                    let pts: Vec<_> =
-                                        g.members.iter().map(|&u| positions[u]).collect();
-                                    if designer.design(&pts, &all_blockers).customized {
-                                        customized_groups += 1;
-                                    }
+                                if self.params.custom_beams && !is_wifi5 && design(&g.members).1 {
+                                    customized_groups += 1;
                                 }
                                 plan.items.push(
                                     TxItem::multicast(
@@ -1077,12 +1075,8 @@ impl StreamingSession {
 
                             if group_active {
                                 multicast_groups += 1;
-                                if self.params.custom_beams {
-                                    let pts: Vec<_> =
-                                        g.members.iter().map(|&u| positions[u]).collect();
-                                    if designer.design(&pts, &all_blockers).customized {
-                                        customized_groups += 1;
-                                    }
+                                if self.params.custom_beams && design(&g.members).1 {
+                                    customized_groups += 1;
                                 }
                                 plan.items.push(TxItem::multicast(
                                     g.members.clone(),

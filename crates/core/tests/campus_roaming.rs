@@ -5,10 +5,10 @@
 //! re-seeded fault domain, an accidental `HashMap` iteration — fails
 //! loudly instead of silently changing committed figures.
 //!
-//! The thread-count knob is process-global, so the tests serialize their
-//! access through a mutex and restore the original count when done.
+//! The thread-count knob is process-global, so every run goes through
+//! `par::with_thread_count`, which serializes overrides and restores the
+//! original count when done.
 
-use std::sync::Mutex;
 use volcast_core::campus::{Campus, CampusParams};
 use volcast_core::{SessionParams, StreamingSession};
 use volcast_net::FaultConfig;
@@ -17,18 +17,11 @@ use volcast_util::json::ToJson;
 use volcast_util::par;
 use volcast_viewport::RoamingTraceGenerator;
 
-static THREAD_KNOB: Mutex<()> = Mutex::new(());
-
 /// Runs `work` at 1 worker and at 8 and asserts byte-identical output;
 /// returns the (shared) serialized form for hash pinning.
 fn thread_invariant_json<F: Fn() -> String>(work: F) -> String {
-    let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let orig = par::thread_count();
-    par::set_thread_count(1);
-    let serial = work();
-    par::set_thread_count(8);
-    let parallel = work();
-    par::set_thread_count(orig);
+    let serial = par::with_thread_count(1, &work);
+    let parallel = par::with_thread_count(8, &work);
     assert_eq!(serial, parallel, "output depends on VOLCAST_THREADS");
     serial
 }
@@ -91,13 +84,8 @@ fn campus_is_invariant_at_odd_thread_counts_and_rect_grids() {
             .to_json_string()
     };
     let json = {
-        let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        let orig = par::thread_count();
-        par::set_thread_count(1);
-        let serial = run();
-        par::set_thread_count(3);
-        let three = run();
-        par::set_thread_count(orig);
+        let serial = par::with_thread_count(1, run);
+        let three = par::with_thread_count(3, run);
         assert_eq!(serial, three, "output depends on VOLCAST_THREADS=3");
         serial
     };

@@ -4,7 +4,6 @@
 //! and the Result-based API must turn every previously-panicking invalid
 //! input into a loud [`VolcastError`].
 
-use std::sync::Mutex;
 use volcast_core::session::{quick_session, quick_session_with_device, DeliveryMode};
 use volcast_core::{PlayerKind, SessionParams, StreamingSession, VolcastError};
 use volcast_net::FaultConfig;
@@ -12,16 +11,9 @@ use volcast_util::json::ToJson;
 use volcast_util::par;
 use volcast_viewport::DeviceClass;
 
-static THREAD_KNOB: Mutex<()> = Mutex::new(());
-
 fn assert_thread_invariant<F: Fn() -> String>(work: F) {
-    let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let orig = par::thread_count();
-    par::set_thread_count(1);
-    let serial = work();
-    par::set_thread_count(4);
-    let parallel = work();
-    par::set_thread_count(orig);
+    let serial = par::with_thread_count(1, &work);
+    let parallel = par::with_thread_count(4, &work);
     assert_eq!(
         serial, parallel,
         "faulted output depends on VOLCAST_THREADS"

@@ -4,28 +4,23 @@
 //! *when* and *on which thread* a frame's points are produced, never their
 //! values, and `encode_gop` is measurement-only.
 //!
-//! The thread-count knob is process-global, so the tests serialize their
-//! access through a mutex and restore the original count when done.
+//! The thread-count knob is process-global, so every run goes through
+//! `par::with_thread_count`, which serializes overrides and restores the
+//! original count when done.
 
-use std::sync::Mutex;
 use volcast_core::session::quick_session_with_device;
 use volcast_core::PlayerKind;
 use volcast_util::json::ToJson;
 use volcast_util::par;
 use volcast_viewport::DeviceClass;
 
-static THREAD_KNOB: Mutex<()> = Mutex::new(());
-
 fn session_json(encode_gop: bool, threads: usize) -> String {
-    let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let orig = par::thread_count();
-    par::set_thread_count(threads);
-    let mut s = quick_session_with_device(PlayerKind::Volcast, 3, 40, 11, DeviceClass::Headset);
-    s.params.analysis_points = 3_000;
-    s.params.encode_gop = encode_gop;
-    let out = s.run().unwrap().to_json().to_json_string();
-    par::set_thread_count(orig);
-    out
+    par::with_thread_count(threads, || {
+        let mut s = quick_session_with_device(PlayerKind::Volcast, 3, 40, 11, DeviceClass::Headset);
+        s.params.analysis_points = 3_000;
+        s.params.encode_gop = encode_gop;
+        s.run().unwrap().to_json().to_json_string()
+    })
 }
 
 /// 40 frames spans one full 30-frame GOP plus a 10-frame tail group, so

@@ -4,10 +4,10 @@
 //! `VOLCAST_THREADS` is purely a wall-clock knob — every committed figure
 //! regenerates exactly regardless of the machine's core count.
 //!
-//! The thread-count knob is process-global, so the tests serialize their
-//! access through a mutex and restore the original count when done.
+//! The thread-count knob is process-global, so every run goes through
+//! `par::with_thread_count`, which serializes overrides and restores the
+//! original count when done.
 
-use std::sync::Mutex;
 use volcast_core::session::quick_session_with_device;
 use volcast_core::PlayerKind;
 use volcast_pointcloud::{CellGrid, SyntheticBody};
@@ -15,18 +15,11 @@ use volcast_util::json::ToJson;
 use volcast_util::par;
 use volcast_viewport::{group_iou, DeviceClass, UserStudy, VisibilityComputer, VisibilityOptions};
 
-static THREAD_KNOB: Mutex<()> = Mutex::new(());
-
 /// Runs `work` at 1 worker and at 4 workers and asserts the serialized
 /// outputs are identical bytes.
 fn assert_thread_invariant<F: Fn() -> String>(work: F) {
-    let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let orig = par::thread_count();
-    par::set_thread_count(1);
-    let serial = work();
-    par::set_thread_count(4);
-    let parallel = work();
-    par::set_thread_count(orig);
+    let serial = par::with_thread_count(1, &work);
+    let parallel = par::with_thread_count(4, &work);
     assert_eq!(serial, parallel, "output depends on VOLCAST_THREADS");
 }
 

@@ -1,4 +1,4 @@
-//! Sector-level beam search and its latency model.
+//! The latency model of sector-level beam search.
 //!
 //! 802.11ad finds beams with a sector-level sweep (SLS): the initiator
 //! transmits a short SSW frame on every sector and the responder reports
@@ -7,23 +7,7 @@
 //! which is exactly why the paper wants prediction-driven *proactive* beam
 //! adaptation instead.
 
-use crate::channel::{Blocker, Channel};
-use crate::codebook::Codebook;
-use volcast_geom::Vec3;
-use volcast_util::obs;
-
-/// Result of one sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepResult {
-    /// Index of the best sector in the codebook.
-    pub sector: usize,
-    /// RSS (dBm) achieved on that sector.
-    pub rss_dbm: f64,
-    /// Time the sweep took, in seconds.
-    pub duration_s: f64,
-}
-
-/// Sector sweep engine with a timing model.
+/// The sector-sweep timing model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeamSearch {
     /// Time per SSW frame (per sector probed), seconds. ~15 us airtime plus
@@ -45,85 +29,7 @@ impl Default for BeamSearch {
     }
 }
 
-impl BeamSearch {
-    /// Full sweep: probe every sector, return the best for `user`.
-    pub fn full_sweep(
-        &self,
-        channel: &Channel,
-        codebook: &Codebook,
-        user: Vec3,
-        blockers: &[Blocker],
-    ) -> SweepResult {
-        self.sweep_subset(
-            channel,
-            codebook,
-            user,
-            blockers,
-            &Vec::from_iter(0..codebook.len()),
-        )
-    }
-
-    /// Partial sweep over an explicit subset of sector indices (used for
-    /// proactive re-steering where prediction narrows the candidates).
-    pub fn sweep_subset(
-        &self,
-        channel: &Channel,
-        codebook: &Codebook,
-        user: Vec3,
-        blockers: &[Blocker],
-        sectors: &[usize],
-    ) -> SweepResult {
-        assert!(!sectors.is_empty(), "cannot sweep zero sectors");
-        obs::inc("mmwave.beamsearch.sweeps");
-        obs::add("mmwave.beamsearch.sectors_probed", sectors.len() as u64);
-        let mut best = SweepResult {
-            sector: sectors[0],
-            rss_dbm: f64::NEG_INFINITY,
-            duration_s: self.overhead_s + self.per_sector_s * sectors.len() as f64,
-        };
-        for &i in sectors {
-            let rss = channel.rss_dbm(&codebook.sectors[i], user, blockers);
-            if rss > best.rss_dbm {
-                best.sector = i;
-                best.rss_dbm = rss;
-            }
-        }
-        best
-    }
-
-    /// Candidate sectors near a predicted direction: the `k` sectors whose
-    /// steering direction is closest to the AP->predicted-position ray.
-    pub fn candidates_near(
-        &self,
-        channel: &Channel,
-        codebook: &Codebook,
-        predicted_pos: Vec3,
-        k: usize,
-    ) -> Vec<usize> {
-        let Some(dir) = channel
-            .array
-            .local_direction(predicted_pos - channel.array.position)
-        else {
-            return (0..codebook.len().min(k)).collect();
-        };
-        let mut idx: Vec<usize> = (0..codebook.len()).collect();
-        idx.sort_by(|&a, &b| {
-            codebook.directions[a]
-                .angle_to(dir)
-                .partial_cmp(&codebook.directions[b].angle_to(dir))
-                .unwrap()
-        });
-        idx.truncate(k.max(1));
-        idx
-    }
-}
-
 // JSON serialization (replaces the former serde derives; see volcast-util).
-volcast_util::impl_json_struct!(SweepResult {
-    sector,
-    rss_dbm,
-    duration_s
-});
 volcast_util::impl_json_struct!(BeamSearch {
     per_sector_s,
     overhead_s
@@ -133,78 +39,14 @@ volcast_util::impl_json_struct!(BeamSearch {
 mod tests {
     use super::*;
 
-    fn setup() -> (Channel, Codebook, BeamSearch) {
-        let ch = Channel::default_setup();
-        let cb = Codebook::default_for(&ch.array);
-        (ch, cb, BeamSearch::default())
-    }
-
     #[test]
     fn full_sweep_duration_in_paper_window() {
-        let (ch, cb, bs) = setup();
-        let r = bs.full_sweep(&ch, &cb, Vec3::new(0.0, 1.5, 0.0), &[]);
+        let bs = BeamSearch::default();
+        let sectors = crate::Codebook::default_for(&crate::Channel::default_setup().array).len();
+        let duration_s = bs.overhead_s + bs.per_sector_s * sectors as f64;
         assert!(
-            (0.005..=0.020).contains(&r.duration_s),
-            "full sweep {} s outside 5-20 ms",
-            r.duration_s
+            (0.005..=0.020).contains(&duration_s),
+            "full sweep {duration_s} s outside 5-20 ms"
         );
-    }
-
-    #[test]
-    fn partial_sweep_is_faster() {
-        let (ch, cb, bs) = setup();
-        let user = Vec3::new(1.0, 1.5, -1.0);
-        let full = bs.full_sweep(&ch, &cb, user, &[]);
-        let subset = bs.candidates_near(&ch, &cb, user, 8);
-        let partial = bs.sweep_subset(&ch, &cb, user, &[], &subset);
-        assert!(partial.duration_s < full.duration_s / 2.0);
-        // Prediction-guided partial sweep finds (nearly) the same beam.
-        assert!(partial.rss_dbm >= full.rss_dbm - 1.0);
-    }
-
-    #[test]
-    fn sweep_finds_strong_sector() {
-        let (ch, cb, bs) = setup();
-        let user = Vec3::new(-1.5, 1.4, 0.5);
-        let r = bs.full_sweep(&ch, &cb, user, &[]);
-        let dedicated = ch.rss_dedicated_beam(user, &[]);
-        assert!(
-            r.rss_dbm > dedicated - 4.0,
-            "sweep {} vs dedicated {}",
-            r.rss_dbm,
-            dedicated
-        );
-    }
-
-    #[test]
-    fn candidates_near_are_sorted_by_angle() {
-        let (ch, cb, bs) = setup();
-        let user = Vec3::new(2.0, 1.5, 0.0);
-        let cands = bs.candidates_near(&ch, &cb, user, 5);
-        assert_eq!(cands.len(), 5);
-        let dir = ch.array.local_direction(user - ch.array.position).unwrap();
-        let mut prev = -1.0;
-        for &c in &cands {
-            let a = cb.directions[c].angle_to(dir);
-            assert!(a >= prev);
-            prev = a;
-        }
-    }
-
-    #[test]
-    fn blockage_changes_best_sector_or_rss() {
-        let (ch, cb, bs) = setup();
-        let user = Vec3::new(0.0, 1.2, -2.0);
-        let clear = bs.full_sweep(&ch, &cb, user, &[]);
-        let blocker = crate::channel::Blocker::person(Vec3::new(0.0, 0.0, -1.0));
-        let blocked = bs.full_sweep(&ch, &cb, user, &[blocker]);
-        assert!(blocked.rss_dbm < clear.rss_dbm);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_subset_panics() {
-        let (ch, cb, bs) = setup();
-        let _ = bs.sweep_subset(&ch, &cb, Vec3::ZERO, &[], &[]);
     }
 }

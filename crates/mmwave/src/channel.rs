@@ -319,8 +319,8 @@ impl Channel {
         // One path enumeration + blockage resolution shared by every
         // candidate beam, instead of re-deriving them per candidate.
         // Stays serial: after preparation the sweep is a handful of dot
-        // products (one per path), far below thread-spawn cost — the
-        // parallel codebook sweeps live in `MultiLobeDesigner`.
+        // products (one per path), far below thread-spawn cost. Codebook
+        // sweeps live in `SweepEngine`.
         let paths = self.paths(rx);
         let prepared = self.prepare_rx_paths(&paths, rx, blockers);
         paths

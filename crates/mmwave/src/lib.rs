@@ -13,11 +13,13 @@
 //!   method (the Remcom substitute), and human-body blockage,
 //! - [`mcs`]: 802.11ad DMG and 802.11ac VHT MCS tables mapping RSS to PHY
 //!   rate,
-//! - [`multilobe`]: the paper's customized multi-lobe beam synthesis
+//! - [`multilobe`]: the paper's customized multi-lobe combination formula
 //!   (`w = (Δ2·w1 + Δ1·w2) / (Δ1 + Δ2)`, power-normalized, generalized to
 //!   k users),
-//! - [`beamsearch`]: sector-sweep beam search with its latency model
-//!   (5-20 ms re-search cost on blockage).
+//! - [`sweep`]: the group-beam engine — bound-pruned codebook sweeps and
+//!   the §4.2 design (best common sector or multi-lobe beam) on top,
+//! - [`beamsearch`]: the sector-sweep latency model (5-20 ms re-search
+//!   cost on blockage).
 //!
 //! All calibration constants live in [`calib`] with the paper anchor they
 //! reproduce.
@@ -50,5 +52,5 @@ pub use beamsearch::BeamSearch;
 pub use channel::{Blocker, Channel, Path, PreparedRx, Room};
 pub use codebook::Codebook;
 pub use mcs::{McsEntry, McsTable};
-pub use multilobe::{combine_weights, combine_weights_multi, MultiLobeDesigner};
-pub use sweep::{SweepEngine, SweepRx};
+pub use multilobe::{combine_weights, combine_weights_multi};
+pub use sweep::{GroupBeam, SweepEngine, SweepRx};

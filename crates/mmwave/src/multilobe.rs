@@ -13,14 +13,14 @@
 //! Only RSS values are needed — not full CSI — because the users have
 //! independent receive chains (paper §4.2). The k-user generalization
 //! weights each user's beam by the inverse of their RSS share.
+//!
+//! These functions are the reference form of the formula. The group-beam
+//! design itself lives in [`crate::sweep`]: [`crate::SweepEngine`] runs
+//! the same arithmetic in place over pruned sweeps. This module also holds
+//! the exhaustive designer that the sweep is checked against, compiled
+//! for tests only.
 
 use crate::array::AntennaWeights;
-use crate::channel::{Blocker, Channel, Path, PreparedRx};
-use crate::codebook::Codebook;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use volcast_geom::Vec3;
-use volcast_util::{obs, par};
 
 /// The paper's two-user combination: `w = (Δ2·w1 + Δ1·w2)/(Δ1+Δ2)`,
 /// normalized to unit transmit power. `rss1`/`rss2` are linear powers
@@ -56,202 +56,118 @@ pub fn combine_weights_multi(beams: &[(AntennaWeights, f64)]) -> AntennaWeights 
     acc.normalized()
 }
 
-/// Designs the transmit beam for a multicast group: either the best common
-/// default sector, or a customized multi-lobe beam — whichever provides the
-/// higher common (minimum) RSS. The paper notes that when all users already
-/// share a strong default sector, the default beam should be used directly.
-///
-/// ```
-/// use volcast_mmwave::{Channel, Codebook, MultiLobeDesigner};
-/// use volcast_geom::Vec3;
-///
-/// let channel = Channel::default_setup();
-/// let codebook = Codebook::default_for(&channel.array);
-/// let designer = MultiLobeDesigner::new(&channel, &codebook);
-/// // Users on opposite sides of the room: no single sector covers both.
-/// let beam = designer.design(
-///     &[Vec3::new(-2.5, 1.5, 0.0), Vec3::new(2.5, 1.5, 0.0)], &[]);
-/// assert!(beam.customized);
-/// assert!(beam.common_rss_dbm() > -68.0); // multicast-capable
-/// ```
-#[derive(Debug)]
-pub struct MultiLobeDesigner<'a> {
-    /// The propagation channel (owns the array geometry).
-    pub channel: &'a Channel,
-    /// The default sector codebook swept by the hardware.
-    pub codebook: &'a Codebook,
-    /// Memoized [`Channel::paths`] per receiver position. Path enumeration
-    /// is pure room geometry, and the shared borrow of `channel` keeps that
-    /// geometry frozen for the designer's whole lifetime, so entries can
-    /// never go stale. Keyed by the position's raw f64 bits; `Mutex` so a
-    /// shared designer can serve parallel trials.
-    path_cache: Mutex<HashMap<[u64; 3], Arc<Vec<Path>>>>,
-}
+/// The exhaustive §4.2 designer, the oracle the pruned [`crate::sweep`]
+/// engine must match bit for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::combine_weights_multi;
+    use crate::calib::dbm_to_mw;
+    use crate::{AntennaWeights, Blocker, Channel, Codebook, PreparedRx};
+    use volcast_geom::Vec3;
 
-impl Clone for MultiLobeDesigner<'_> {
-    fn clone(&self) -> Self {
-        MultiLobeDesigner {
-            channel: self.channel,
-            codebook: self.codebook,
-            path_cache: Mutex::new(self.path_cache.lock().unwrap().clone()),
-        }
+    /// The exhaustive designer: every sector against every member, no pruning
+    /// and no caching.
+    pub(crate) struct MultiLobeDesigner<'a> {
+        channel: &'a Channel,
+        codebook: &'a Codebook,
     }
-}
 
-/// The outcome of a group beam design.
-#[derive(Debug, Clone)]
-pub struct GroupBeam {
-    /// Weights to transmit with.
-    pub weights: AntennaWeights,
-    /// Per-member RSS (dBm) under those weights.
-    pub member_rss_dbm: Vec<f64>,
-    /// Whether the custom multi-lobe beam beat the default codebook.
-    pub customized: bool,
-}
-
-impl GroupBeam {
-    /// The group's common RSS: the minimum across members.
-    pub fn common_rss_dbm(&self) -> f64 {
-        self.member_rss_dbm
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
+    /// The oracle's design: whichever of the best common sector and the
+    /// multi-lobe combination gives the higher common RSS.
+    pub(crate) struct OracleBeam {
+        pub weights: AntennaWeights,
+        pub member_rss_dbm: Vec<f64>,
+        pub customized: bool,
     }
-}
 
-impl<'a> MultiLobeDesigner<'a> {
-    /// Creates a designer over a channel and codebook.
-    pub fn new(channel: &'a Channel, codebook: &'a Codebook) -> Self {
-        MultiLobeDesigner {
-            channel,
-            codebook,
-            path_cache: Mutex::new(HashMap::new()),
+    impl OracleBeam {
+        pub fn common_rss_dbm(&self) -> f64 {
+            self.member_rss_dbm
+                .iter()
+                .copied()
+                .fold(f64::INFINITY, f64::min)
         }
     }
 
-    /// Propagation paths to `rx`, memoized per position.
-    fn cached_paths(&self, rx: Vec3) -> Arc<Vec<Path>> {
-        let key = [rx.x.to_bits(), rx.y.to_bits(), rx.z.to_bits()];
-        // The lock is held across the compute, so each unique position is
-        // enumerated exactly once — which also makes the hit/miss counters
-        // below independent of the worker budget.
-        let mut cache = self.path_cache.lock().unwrap();
-        if let Some(paths) = cache.get(&key) {
-            obs::inc("mmwave.designer.path_cache_hits");
-            return paths.clone();
+    impl<'a> MultiLobeDesigner<'a> {
+        pub fn new(channel: &'a Channel, codebook: &'a Codebook) -> Self {
+            MultiLobeDesigner { channel, codebook }
         }
-        obs::inc("mmwave.designer.path_cache_misses");
-        let paths = Arc::new(self.channel.paths(rx));
-        cache.insert(key, paths.clone());
-        paths
-    }
 
-    /// One member prepared for codebook sweeps: memoized paths, blockage
-    /// and steering resolved once instead of once per sector.
-    fn prepare_member(&self, m: Vec3, blockers: &[Blocker]) -> PreparedRx {
-        self.channel
-            .prepare_rx_paths(&self.cached_paths(m), m, blockers)
-    }
+        fn prepare(&self, members: &[Vec3], blockers: &[Blocker]) -> Vec<PreparedRx> {
+            members
+                .iter()
+                .map(|&m| self.channel.prepare_rx(m, blockers))
+                .collect()
+        }
 
-    /// The sector sweep over prepared members. Sectors are evaluated in
-    /// parallel; the argmax runs serially in sector order afterwards, so
-    /// the strict `>` keeps the first-best sector exactly as the serial
-    /// sweep did.
-    fn best_sector_prepared(&self, prepared: &[PreparedRx]) -> (usize, Vec<f64>) {
-        obs::inc("mmwave.designer.sweeps");
-        obs::add(
-            "mmwave.designer.sectors_swept",
-            self.codebook.sectors.len() as u64,
-        );
-        let per_sector: Vec<Vec<f64>> = par::par_map(&self.codebook.sectors, |sector| {
-            prepared.iter().map(|p| p.rss_dbm(sector)).collect()
-        });
-        let mut best_idx = 0usize;
-        let mut best_min = f64::NEG_INFINITY;
-        let mut best_rss = vec![f64::NEG_INFINITY; prepared.len()];
-        for (i, rss) in per_sector.into_iter().enumerate() {
-            let min = rss.iter().copied().fold(f64::INFINITY, f64::min);
-            if min > best_min {
-                best_min = min;
-                best_idx = i;
-                best_rss = rss;
+        /// Maximizes the minimum member RSS; the first-best sector wins ties.
+        fn best_sector_prepared(&self, prepared: &[PreparedRx]) -> (usize, Vec<f64>) {
+            let mut best_idx = 0usize;
+            let mut best_min = f64::NEG_INFINITY;
+            let mut best_rss = vec![f64::NEG_INFINITY; prepared.len()];
+            for (i, sector) in self.codebook.sectors.iter().enumerate() {
+                let rss: Vec<f64> = prepared.iter().map(|p| p.rss_dbm(sector)).collect();
+                let min = rss.iter().copied().fold(f64::INFINITY, f64::min);
+                if min > best_min {
+                    best_min = min;
+                    best_idx = i;
+                    best_rss = rss;
+                }
             }
+            (best_idx, best_rss)
         }
-        (best_idx, best_rss)
-    }
 
-    /// Best *default-codebook* sector for the group: maximizes the minimum
-    /// member RSS. Returns (weights index, per-member RSS).
-    pub fn best_common_sector(&self, members: &[Vec3], blockers: &[Blocker]) -> (usize, Vec<f64>) {
-        let prepared: Vec<PreparedRx> = members
-            .iter()
-            .map(|&m| self.prepare_member(m, blockers))
-            .collect();
-        self.best_sector_prepared(&prepared)
-    }
+        fn custom_beam_prepared(&self, prepared: &[PreparedRx]) -> AntennaWeights {
+            let per_user: Vec<(AntennaWeights, f64)> = prepared
+                .iter()
+                .map(|p| {
+                    let (idx, rss) = self.best_sector_prepared(std::slice::from_ref(p));
+                    (self.codebook.sectors[idx].clone(), dbm_to_mw(rss[0]))
+                })
+                .collect();
+            combine_weights_multi(&per_user)
+        }
 
-    /// The custom combination over already-prepared members.
-    fn custom_beam_prepared(&self, prepared: &[PreparedRx]) -> AntennaWeights {
-        let per_user: Vec<(AntennaWeights, f64)> = prepared
-            .iter()
-            .map(|p| {
-                // Individually best sector for this member (the AP knows it
-                // from the sector sweep / predicted 6DoF motion).
-                let (idx, rss) = self.best_sector_prepared(std::slice::from_ref(p));
-                let w = self.codebook.sectors[idx].clone();
-                (w, crate::calib::dbm_to_mw(rss[0]))
-            })
-            .collect();
-        combine_weights_multi(&per_user)
-    }
+        /// Best default-codebook sector for the group and its per-member RSS.
+        pub fn best_common_sector(
+            &self,
+            members: &[Vec3],
+            blockers: &[Blocker],
+        ) -> (usize, Vec<f64>) {
+            self.best_sector_prepared(&self.prepare(members, blockers))
+        }
 
-    /// Designs the custom multi-lobe beam for the group: combine each
-    /// member's individually-best sector, weighted by measured RSS.
-    pub fn custom_beam(&self, members: &[Vec3], blockers: &[Blocker]) -> AntennaWeights {
-        let prepared: Vec<PreparedRx> = members
-            .iter()
-            .map(|&m| self.prepare_member(m, blockers))
-            .collect();
-        self.custom_beam_prepared(&prepared)
-    }
+        /// The multi-lobe combination of each member's individually-best sector.
+        pub fn custom_beam(&self, members: &[Vec3], blockers: &[Blocker]) -> AntennaWeights {
+            self.custom_beam_prepared(&self.prepare(members, blockers))
+        }
 
-    /// Full group beam design: returns whichever of (best common default
-    /// sector, customized multi-lobe beam) yields the higher common RSS.
-    pub fn design(&self, members: &[Vec3], blockers: &[Blocker]) -> GroupBeam {
-        assert!(!members.is_empty());
-        let _span = obs::span("mmwave.designer.design");
-        obs::inc("mmwave.designer.designs");
-        let prepared: Vec<PreparedRx> = members
-            .iter()
-            .map(|&m| self.prepare_member(m, blockers))
-            .collect();
-        let (idx, default_rss) = self.best_sector_prepared(&prepared);
-        let default_min = default_rss.iter().copied().fold(f64::INFINITY, f64::min);
-
-        if members.len() == 1 {
-            return GroupBeam {
+        /// Full group beam design.
+        pub fn design(&self, members: &[Vec3], blockers: &[Blocker]) -> OracleBeam {
+            assert!(!members.is_empty());
+            let prepared = self.prepare(members, blockers);
+            let (idx, default_rss) = self.best_sector_prepared(&prepared);
+            let default_min = default_rss.iter().copied().fold(f64::INFINITY, f64::min);
+            let default = OracleBeam {
                 weights: self.codebook.sectors[idx].clone(),
                 member_rss_dbm: default_rss,
                 customized: false,
             };
-        }
-
-        let custom = self.custom_beam_prepared(&prepared);
-        let custom_rss: Vec<f64> = prepared.iter().map(|p| p.rss_dbm(&custom)).collect();
-        let custom_min = custom_rss.iter().copied().fold(f64::INFINITY, f64::min);
-
-        if custom_min > default_min {
-            obs::inc("mmwave.designer.customized");
-            GroupBeam {
-                weights: custom,
-                member_rss_dbm: custom_rss,
-                customized: true,
+            if members.len() == 1 {
+                return default;
             }
-        } else {
-            GroupBeam {
-                weights: self.codebook.sectors[idx].clone(),
-                member_rss_dbm: default_rss,
-                customized: false,
+            let custom = self.custom_beam_prepared(&prepared);
+            let custom_rss: Vec<f64> = prepared.iter().map(|p| p.rss_dbm(&custom)).collect();
+            let custom_min = custom_rss.iter().copied().fold(f64::INFINITY, f64::min);
+            if custom_min > default_min {
+                OracleBeam {
+                    weights: custom,
+                    member_rss_dbm: custom_rss,
+                    customized: true,
+                }
+            } else {
+                default
             }
         }
     }
@@ -261,13 +177,7 @@ impl<'a> MultiLobeDesigner<'a> {
 mod tests {
     use super::*;
     use crate::array::PlanarArray;
-    use volcast_geom::{Complex, Spherical};
-
-    fn setup() -> (Channel, Codebook) {
-        let ch = Channel::default_setup();
-        let cb = Codebook::default_for(&ch.array);
-        (ch, cb)
-    }
+    use volcast_geom::{Complex, Spherical, Vec3};
 
     #[test]
     fn combined_weights_have_unit_power() {
@@ -308,85 +218,5 @@ mod tests {
             g1 > g2,
             "weak user's lobe {g1} should exceed strong user's {g2}"
         );
-    }
-
-    #[test]
-    fn two_lobes_beat_single_sector_for_spread_users() {
-        let (ch, cb) = setup();
-        // Users on opposite sides of the room: far apart in azimuth.
-        let users = [Vec3::new(-2.5, 1.5, 0.0), Vec3::new(2.5, 1.5, 0.0)];
-        let d = MultiLobeDesigner::new(&ch, &cb);
-        let (_, default_rss) = d.best_common_sector(&users, &[]);
-        let default_min = default_rss.iter().copied().fold(f64::INFINITY, f64::min);
-        let custom = d.custom_beam(&users, &[]);
-        let custom_min = users
-            .iter()
-            .map(|&u| ch.rss_dbm(&custom, u, &[]))
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            custom_min > default_min + 3.0,
-            "custom {custom_min} dBm vs default {default_min} dBm"
-        );
-    }
-
-    #[test]
-    fn design_prefers_default_for_colocated_users() {
-        let (ch, cb) = setup();
-        // Two users standing shoulder to shoulder: one sector covers both.
-        let users = [Vec3::new(0.0, 1.5, 0.0), Vec3::new(0.25, 1.5, 0.0)];
-        let d = MultiLobeDesigner::new(&ch, &cb);
-        let beam = d.design(&users, &[]);
-        // Common RSS must be strong either way; and for such users the
-        // default sector is typically already optimal.
-        assert!(beam.common_rss_dbm() > -60.0);
-    }
-
-    #[test]
-    fn design_customizes_for_spread_users() {
-        let (ch, cb) = setup();
-        let users = [Vec3::new(-2.5, 1.5, 0.0), Vec3::new(2.5, 1.5, 0.0)];
-        let d = MultiLobeDesigner::new(&ch, &cb);
-        let beam = d.design(&users, &[]);
-        assert!(
-            beam.customized,
-            "spread users should trigger the custom beam"
-        );
-        assert_eq!(beam.member_rss_dbm.len(), 2);
-    }
-
-    #[test]
-    fn single_user_design_uses_codebook() {
-        let (ch, cb) = setup();
-        let d = MultiLobeDesigner::new(&ch, &cb);
-        let beam = d.design(&[Vec3::new(1.0, 1.5, 0.0)], &[]);
-        assert!(!beam.customized);
-        assert_eq!(beam.member_rss_dbm.len(), 1);
-    }
-
-    #[test]
-    fn design_never_worse_than_default() {
-        let (ch, cb) = setup();
-        let d = MultiLobeDesigner::new(&ch, &cb);
-        for users in [
-            vec![Vec3::new(-1.0, 1.5, 1.0), Vec3::new(2.0, 1.3, -2.0)],
-            vec![
-                Vec3::new(-2.0, 1.5, 0.0),
-                Vec3::new(0.0, 1.5, -2.0),
-                Vec3::new(2.0, 1.5, 0.0),
-            ],
-        ] {
-            let (_, default_rss) = d.best_common_sector(&users, &[]);
-            let default_min = default_rss.iter().copied().fold(f64::INFINITY, f64::min);
-            let beam = d.design(&users, &[]);
-            assert!(beam.common_rss_dbm() >= default_min - 1e-9);
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_group_panics() {
-        let (ch, cb) = setup();
-        let d = MultiLobeDesigner::new(&ch, &cb);
-        let _ = d.design(&[], &[]);
     }
 }

@@ -1,4 +1,5 @@
-//! Allocation-free, bound-pruned codebook sweeps for the campus hot path.
+//! The group-beam engine (§4.2): allocation-free, bound-pruned codebook
+//! sweeps and the multi-lobe design built on them.
 //!
 //! A full sector sweep evaluates every codebook sector against every usable
 //! propagation path — 48 complex dot products of 32 elements per receiver.
@@ -18,15 +19,20 @@
 //! transcendentals. The bounds carry explicit floating-point safety margins
 //! so a pruned sector is *guaranteed* (not just likely) to lose against the
 //! best exact value seen so far — the pruned sweep returns **bit-identical**
-//! winners and RSS values to [`MultiLobeDesigner::best_common_sector`],
-//! which existing tests and the campus outcome hash pin down.
+//! winners and RSS values to an exhaustive scan of every sector. The
+//! exhaustive scan survives only as the test oracle in `multilobe.rs`; the
+//! tests below, the session and campus outcome hashes pin the identity.
 //!
-//! Everything here reuses caller-owned buffers: after warm-up, sweeps
-//! allocate nothing, which the campus epoch loop's counting-allocator gate
-//! relies on.
+//! [`SweepEngine::design_into`] is the paper's group-beam design on top of
+//! the sweep: the best common sector, or the RSS-weighted multi-lobe
+//! combination of the members' individual best sectors
+//! ([`crate::combine_weights_multi`]) if that gives a strictly higher
+//! common RSS. The session's grouping probes, the campus coordinator and
+//! the figure binaries all design through it.
 //!
-//! [`MultiLobeDesigner::best_common_sector`]:
-//!     crate::MultiLobeDesigner::best_common_sector
+//! Everything here reuses caller-owned buffers: after warm-up, sweeps and
+//! designs allocate nothing, which the campus epoch loop's
+//! counting-allocator gate relies on.
 
 use crate::array::element_pattern;
 use crate::calib;
@@ -252,13 +258,10 @@ impl<'a> SweepEngine<'a> {
     }
 
     /// The custom multi-lobe combination for a member set, written into
-    /// `acc` — bit-identical to `combine_weights_multi` over each member's
-    /// individually-best sector weighted by its linear RSS (the program
-    /// behind [`MultiLobeDesigner::custom_beam`]). Member bests come from
-    /// the [`SweepEngine::best_sector`] cache, so after an assign-phase
-    /// sweep this costs only the accumulation itself.
-    ///
-    /// [`MultiLobeDesigner::custom_beam`]: crate::MultiLobeDesigner::custom_beam
+    /// `acc` — bit-identical to [`crate::combine_weights_multi`] over each
+    /// member's individually-best sector weighted by its linear RSS. Member
+    /// bests come from the [`SweepEngine::best_sector`] cache, so after an
+    /// assign-phase sweep this costs only the accumulation itself.
     pub fn combine_into(&self, rxs: &mut [SweepRx], members: &[usize], acc: &mut Vec<Complex>) {
         acc.clear();
         acc.resize(self.elements, Complex::ZERO);
@@ -277,6 +280,114 @@ impl<'a> SweepEngine<'a> {
                 *c = c.scale(s);
             }
         }
+    }
+
+    /// Designs the group beam for `members` (indices into `rxs`, each
+    /// prepared against this engine) into `beam`: the best common sector
+    /// and, when `custom` is set and the group has two or more members,
+    /// the multi-lobe combination — kept only if its common RSS is
+    /// strictly higher. Reuses `beam`'s buffers; repeat designs over the
+    /// same prepared receivers hit their per-sector caches.
+    pub fn design_into(
+        &self,
+        rxs: &mut [SweepRx],
+        members: &[usize],
+        custom: bool,
+        beam: &mut GroupBeam,
+    ) {
+        assert!(!members.is_empty(), "cannot design a beam for no members");
+        beam.sector = self.best_joint(rxs, members, &mut beam.tmp, &mut beam.sector_rss_dbm);
+        beam.customized = false;
+        if !custom || members.len() == 1 {
+            return;
+        }
+        self.combine_into(rxs, members, &mut beam.custom_weights);
+        beam.custom_rss_dbm.clear();
+        for &u in members {
+            beam.custom_rss_dbm
+                .push(rxs[u].eval_weights(&beam.custom_weights));
+        }
+        beam.customized = min_dbm(&beam.custom_rss_dbm) > min_dbm(&beam.sector_rss_dbm);
+    }
+
+    /// One-shot [`SweepEngine::design_into`] with the multi-lobe option:
+    /// prepares a receiver per position against `blockers` and designs
+    /// the beam for all of them. Allocates; hot loops should keep their
+    /// [`SweepRx`]s and [`GroupBeam`] and call `design_into`.
+    ///
+    /// ```
+    /// use volcast_mmwave::{Channel, Codebook, SweepEngine};
+    /// use volcast_geom::Vec3;
+    ///
+    /// let channel = Channel::default_setup();
+    /// let codebook = Codebook::default_for(&channel.array);
+    /// let engine = SweepEngine::new(&channel, &codebook);
+    /// // Users on opposite sides of the room: no single sector covers both.
+    /// let beam = engine.design(
+    ///     &[Vec3::new(-2.5, 1.5, 0.0), Vec3::new(2.5, 1.5, 0.0)], &[]);
+    /// assert!(beam.customized);
+    /// assert!(beam.common_rss_dbm() > -68.0); // multicast-capable
+    /// ```
+    pub fn design(&self, positions: &[Vec3], blockers: &[Blocker]) -> GroupBeam {
+        let mut rxs: Vec<SweepRx> = positions
+            .iter()
+            .map(|&p| {
+                let mut rx = SweepRx::new();
+                rx.prepare(self, p, blockers);
+                rx
+            })
+            .collect();
+        let members: Vec<usize> = (0..positions.len()).collect();
+        let mut beam = GroupBeam::default();
+        self.design_into(&mut rxs, &members, true, &mut beam);
+        beam
+    }
+}
+
+/// Minimum of a member-RSS vector (`+∞` when empty).
+fn min_dbm(rss: &[f64]) -> f64 {
+    rss.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// A group beam designed by [`SweepEngine::design_into`], in buffers that
+/// are reused across designs.
+#[derive(Debug, Clone, Default)]
+pub struct GroupBeam {
+    /// Best common codebook sector: maximizes the minimum member RSS.
+    pub sector: usize,
+    /// Per-member RSS (dBm) under `sector`, in member order.
+    pub sector_rss_dbm: Vec<f64>,
+    /// Whether the multi-lobe combination beat `sector`; the beam to
+    /// transmit is `custom_weights` if set, else the codebook sector.
+    pub customized: bool,
+    /// The multi-lobe weights. Valid when `customized`.
+    pub custom_weights: Vec<Complex>,
+    /// Per-member RSS (dBm) under `custom_weights`, in member order.
+    /// Valid when `customized`.
+    pub custom_rss_dbm: Vec<f64>,
+    /// Joint-sweep scratch.
+    tmp: Vec<f64>,
+}
+
+impl GroupBeam {
+    /// Per-member RSS (dBm) under the chosen beam.
+    pub fn member_rss_dbm(&self) -> &[f64] {
+        if self.customized {
+            &self.custom_rss_dbm
+        } else {
+            &self.sector_rss_dbm
+        }
+    }
+
+    /// The group's common RSS under the chosen beam: the minimum across
+    /// members.
+    pub fn common_rss_dbm(&self) -> f64 {
+        min_dbm(self.member_rss_dbm())
+    }
+
+    /// The common RSS the best default codebook sector alone achieves.
+    pub fn sector_common_rss_dbm(&self) -> f64 {
+        min_dbm(&self.sector_rss_dbm)
     }
 }
 
@@ -450,7 +561,7 @@ mod tests {
     use super::*;
     use crate::array::AntennaWeights;
     use crate::channel::Room;
-    use crate::multilobe::MultiLobeDesigner;
+    use crate::multilobe::oracle::MultiLobeDesigner;
     use crate::PlanarArray;
     use volcast_util::rng::Rng;
 
@@ -553,6 +664,56 @@ mod tests {
         }
     }
 
+    fn prepared(engine: &SweepEngine, positions: &[Vec3], blockers: &[Blocker]) -> Vec<SweepRx> {
+        positions
+            .iter()
+            .map(|&p| {
+                let mut rx = SweepRx::new();
+                rx.prepare(engine, p, blockers);
+                rx
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: {g} vs {w}");
+        }
+    }
+
+    /// Person blockers the way the session builds them: every member's
+    /// own body plus two walkers. A receiver's own cylinder is skipped by
+    /// the channel's endpoint guard, so only the others block.
+    fn person_blockers(rng: &mut Rng, members: &[Vec3]) -> Vec<Blocker> {
+        let mut blockers: Vec<Blocker> = members.iter().map(|&p| Blocker::person(p)).collect();
+        for _ in 0..2 {
+            blockers.push(Blocker::person(Vec3::new(
+                (rng.gen_range(0.0..1.0) - 0.5) * 6.0,
+                1.5,
+                (rng.gen_range(0.0..1.0) - 0.5) * 6.0,
+            )));
+        }
+        blockers
+    }
+
+    /// Member sets in the session's regime: random groups plus groups
+    /// lined up away from the AP, so nearer members shadow farther ones.
+    fn session_like_groups(channel: &Channel, rng: &mut Rng) -> Vec<Vec<Vec3>> {
+        let mut groups = Vec::new();
+        for size in [1usize, 2, 3, 5, 8] {
+            groups.push(random_positions(channel, rng, size));
+        }
+        for x in [-1.5, 0.0, 1.0] {
+            groups.push(vec![
+                Vec3::new(x, 1.6, 0.5),
+                Vec3::new(x + 0.1, 1.2, -0.5),
+                Vec3::new(x - 0.1, 1.0, -2.5),
+            ]);
+        }
+        groups
+    }
+
     #[test]
     fn joint_sweep_is_bit_identical() {
         for (ci, channel) in setups().into_iter().enumerate() {
@@ -562,26 +723,155 @@ mod tests {
             let mut rng = Rng::seed_from_u64(0xBEEF + ci as u64);
             let mut tmp = Vec::new();
             let mut rss = Vec::new();
-            for group_size in [2usize, 3, 5, 8] {
+            for group_size in [1usize, 2, 3, 5, 8] {
                 let positions = random_positions(&channel, &mut rng, group_size);
                 let (want_idx, want_rss) = designer.best_common_sector(&positions, &[]);
-                let mut rxs: Vec<SweepRx> = positions
-                    .iter()
-                    .map(|&p| {
-                        let mut rx = SweepRx::new();
-                        rx.prepare(&engine, p, &[]);
-                        rx
-                    })
-                    .collect();
+                let mut rxs = prepared(&engine, &positions, &[]);
                 let members: Vec<usize> = (0..group_size).collect();
                 let got_idx = engine.best_joint(&mut rxs, &members, &mut tmp, &mut rss);
                 assert_eq!(got_idx, want_idx, "group {group_size} in setup {ci}");
-                assert_eq!(rss.len(), want_rss.len());
-                for (g, w) in rss.iter().zip(&want_rss) {
-                    assert_eq!(g.to_bits(), w.to_bits());
-                }
+                assert_bits_eq(&rss, &want_rss, "joint RSS");
             }
         }
+    }
+
+    #[test]
+    fn joint_sweep_matches_with_person_blockers() {
+        let channel = Channel::default_setup();
+        let codebook = Codebook::default_for(&channel.array);
+        let designer = MultiLobeDesigner::new(&channel, &codebook);
+        let engine = SweepEngine::new(&channel, &codebook);
+        let mut rng = Rng::seed_from_u64(0x5E55);
+        let (mut tmp, mut rss) = (Vec::new(), Vec::new());
+        let mut shadowed = 0usize;
+        for positions in session_like_groups(&channel, &mut rng) {
+            let blockers = person_blockers(&mut rng, &positions);
+            let (want_idx, want_rss) = designer.best_common_sector(&positions, &blockers);
+            let mut rxs = prepared(&engine, &positions, &blockers);
+            let members: Vec<usize> = (0..positions.len()).collect();
+            let got_idx = engine.best_joint(&mut rxs, &members, &mut tmp, &mut rss);
+            assert_eq!(got_idx, want_idx, "group {positions:?}");
+            assert_bits_eq(&rss, &want_rss, "joint RSS with blockers");
+            let (_, clear) = designer.best_common_sector(&positions, &[]);
+            shadowed += usize::from(clear != want_rss);
+        }
+        assert!(
+            shadowed > 0,
+            "no group was shadowed; the blockers test nothing"
+        );
+    }
+
+    #[test]
+    fn design_matches_oracle_with_person_blockers() {
+        for (ci, channel) in setups().into_iter().enumerate() {
+            let codebook = Codebook::default_for(&channel.array);
+            let designer = MultiLobeDesigner::new(&channel, &codebook);
+            let engine = SweepEngine::new(&channel, &codebook);
+            let mut rng = Rng::seed_from_u64(0xD351 + ci as u64);
+            // One beam reused across every design, as the session does.
+            let mut beam = GroupBeam::default();
+            let mut customized = 0usize;
+            for positions in session_like_groups(&channel, &mut rng) {
+                for blockers in [Vec::new(), person_blockers(&mut rng, &positions)] {
+                    let want = designer.design(&positions, &blockers);
+                    let (want_sector, want_sector_rss) =
+                        designer.best_common_sector(&positions, &blockers);
+                    let mut rxs = prepared(&engine, &positions, &blockers);
+                    let members: Vec<usize> = (0..positions.len()).collect();
+                    engine.design_into(&mut rxs, &members, true, &mut beam);
+                    assert_eq!(beam.customized, want.customized, "{positions:?}");
+                    assert_eq!(beam.sector, want_sector);
+                    assert_bits_eq(&beam.sector_rss_dbm, &want_sector_rss, "sector RSS");
+                    assert_bits_eq(beam.member_rss_dbm(), &want.member_rss_dbm, "member RSS");
+                    assert_eq!(
+                        beam.common_rss_dbm().to_bits(),
+                        want.common_rss_dbm().to_bits()
+                    );
+                    let weights = if beam.customized {
+                        &beam.custom_weights[..]
+                    } else {
+                        &codebook.sectors[beam.sector].w[..]
+                    };
+                    assert_eq!(weights, &want.weights.w[..]);
+                    customized += usize::from(beam.customized);
+
+                    // Default-only designs stop at the common sector.
+                    engine.design_into(&mut rxs, &members, false, &mut beam);
+                    assert!(!beam.customized);
+                    assert_bits_eq(beam.member_rss_dbm(), &want_sector_rss, "default-only");
+                }
+            }
+            assert!(
+                customized > 0,
+                "setup {ci}: no design chose the custom beam"
+            );
+        }
+    }
+
+    #[test]
+    fn two_lobes_beat_single_sector_for_spread_users() {
+        let channel = Channel::default_setup();
+        let codebook = Codebook::default_for(&channel.array);
+        let engine = SweepEngine::new(&channel, &codebook);
+        // Users on opposite sides of the room: far apart in azimuth.
+        let beam = engine.design(&[Vec3::new(-2.5, 1.5, 0.0), Vec3::new(2.5, 1.5, 0.0)], &[]);
+        assert!(
+            beam.customized,
+            "spread users should trigger the custom beam"
+        );
+        assert_eq!(beam.member_rss_dbm().len(), 2);
+        assert!(
+            beam.common_rss_dbm() > beam.sector_common_rss_dbm() + 3.0,
+            "custom {} dBm vs default {} dBm",
+            beam.common_rss_dbm(),
+            beam.sector_common_rss_dbm()
+        );
+    }
+
+    #[test]
+    fn colocated_users_share_a_strong_sector() {
+        let channel = Channel::default_setup();
+        let codebook = Codebook::default_for(&channel.array);
+        let engine = SweepEngine::new(&channel, &codebook);
+        // Two users standing shoulder to shoulder: one sector covers both.
+        let beam = engine.design(&[Vec3::new(0.0, 1.5, 0.0), Vec3::new(0.25, 1.5, 0.0)], &[]);
+        assert!(beam.common_rss_dbm() > -60.0);
+    }
+
+    #[test]
+    fn single_user_design_uses_codebook() {
+        let channel = Channel::default_setup();
+        let codebook = Codebook::default_for(&channel.array);
+        let engine = SweepEngine::new(&channel, &codebook);
+        let beam = engine.design(&[Vec3::new(1.0, 1.5, 0.0)], &[]);
+        assert!(!beam.customized);
+        assert_eq!(beam.member_rss_dbm().len(), 1);
+    }
+
+    #[test]
+    fn design_never_worse_than_default() {
+        let channel = Channel::default_setup();
+        let codebook = Codebook::default_for(&channel.array);
+        let engine = SweepEngine::new(&channel, &codebook);
+        for users in [
+            vec![Vec3::new(-1.0, 1.5, 1.0), Vec3::new(2.0, 1.3, -2.0)],
+            vec![
+                Vec3::new(-2.0, 1.5, 0.0),
+                Vec3::new(0.0, 1.5, -2.0),
+                Vec3::new(2.0, 1.5, 0.0),
+            ],
+        ] {
+            let beam = engine.design(&users, &[]);
+            assert!(beam.common_rss_dbm() >= beam.sector_common_rss_dbm());
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn empty_group_panics() {
+        let channel = Channel::default_setup();
+        let codebook = Codebook::default_for(&channel.array);
+        let _ = SweepEngine::new(&channel, &codebook).design(&[], &[]);
     }
 
     #[test]
@@ -595,14 +885,7 @@ mod tests {
         for group_size in [2usize, 3, 4] {
             let positions = random_positions(&channel, &mut rng, group_size);
             let want = designer.custom_beam(&positions, &[]);
-            let mut rxs: Vec<SweepRx> = positions
-                .iter()
-                .map(|&p| {
-                    let mut rx = SweepRx::new();
-                    rx.prepare(&engine, p, &[]);
-                    rx
-                })
-                .collect();
+            let mut rxs = prepared(&engine, &positions, &[]);
             let members: Vec<usize> = (0..group_size).collect();
             engine.combine_into(&mut rxs, &members, &mut acc);
             assert_eq!(acc.len(), want.w.len());

@@ -10,7 +10,7 @@
 //!   unicast for some geometries (unbalanced RSS), custom beams fix it.
 
 use volcast_geom::Vec3;
-use volcast_mmwave::{Channel, Codebook, McsTable, MultiLobeDesigner};
+use volcast_mmwave::{Channel, Codebook, McsTable, SweepEngine};
 use volcast_util::rng::Rng;
 
 /// Samples a plausible standing viewer position in the default room
@@ -29,7 +29,7 @@ fn fraction_above(samples: &[f64], threshold: f64) -> f64 {
 fn fig3b_default_codebook_degrades_with_group_size() {
     let ch = Channel::default_setup();
     let cb = Codebook::default_for(&ch.array);
-    let designer = MultiLobeDesigner::new(&ch, &cb);
+    let engine = SweepEngine::new(&ch, &cb);
     let mut rng = Rng::seed_from_u64(3101);
 
     let trials = 150;
@@ -37,8 +37,7 @@ fn fig3b_default_codebook_degrades_with_group_size() {
         (0..trials)
             .map(|_| {
                 let users: Vec<Vec3> = (0..k).map(|_| sample_position(rng)).collect();
-                let (_, rss) = designer.best_common_sector(&users, &[]);
-                rss.into_iter().fold(f64::INFINITY, f64::min)
+                engine.design(&users, &[]).sector_common_rss_dbm()
             })
             .collect()
     };
@@ -62,7 +61,7 @@ fn fig3b_default_codebook_degrades_with_group_size() {
 fn fig3d_custom_beams_raise_common_rss() {
     let ch = Channel::default_setup();
     let cb = Codebook::default_for(&ch.array);
-    let designer = MultiLobeDesigner::new(&ch, &cb);
+    let engine = SweepEngine::new(&ch, &cb);
     let mut rng = Rng::seed_from_u64(3102);
 
     let trials = 100;
@@ -70,9 +69,8 @@ fn fig3d_custom_beams_raise_common_rss() {
     let mut improvements = Vec::new();
     for _ in 0..trials {
         let users = [sample_position(&mut rng), sample_position(&mut rng)];
-        let (_, default_rss) = designer.best_common_sector(&users, &[]);
-        let default_min = default_rss.into_iter().fold(f64::INFINITY, f64::min);
-        let beam = designer.design(&users, &[]);
+        let beam = engine.design(&users, &[]);
+        let default_min = beam.sector_common_rss_dbm();
         let designed_min = beam.common_rss_dbm();
         assert!(
             designed_min >= default_min - 1e-9,
@@ -101,7 +99,7 @@ fn fig3e_mechanism_unbalanced_multicast_can_lose_to_unicast() {
     // serving the better user alone — the pathology Fig. 3e reports.
     let ch = Channel::default_setup();
     let cb = Codebook::default_for(&ch.array);
-    let designer = MultiLobeDesigner::new(&ch, &cb);
+    let engine = SweepEngine::new(&ch, &cb);
     let mcs = McsTable::dmg();
     let mut rng = Rng::seed_from_u64(3103);
 
@@ -109,16 +107,13 @@ fn fig3e_mechanism_unbalanced_multicast_can_lose_to_unicast() {
     let mut custom_fixes = false;
     for _ in 0..200 {
         let users = [sample_position(&mut rng), sample_position(&mut rng)];
-        let (_, default_rss) = designer.best_common_sector(&users, &[]);
-        let multicast_rate = mcs.multicast_rate_mbps(&default_rss);
+        let beam = engine.design(&users, &[]);
+        let multicast_rate = mcs.multicast_rate_mbps(&beam.sector_rss_dbm);
 
         // Unicast: each user on their own best sector.
         let unicast_rates: Vec<f64> = users
             .iter()
-            .map(|&u| {
-                let (_, rss) = designer.best_common_sector(&[u], &[]);
-                mcs.phy_rate_mbps(rss[0])
-            })
+            .map(|&u| mcs.phy_rate_mbps(engine.design(&[u], &[]).common_rss_dbm()))
             .collect();
         // Effective per-user rate when time-sharing unicast: half each.
         let unicast_effective = unicast_rates.iter().sum::<f64>() / 4.0;
@@ -126,8 +121,7 @@ fn fig3e_mechanism_unbalanced_multicast_can_lose_to_unicast() {
         // the group rate (both receive the same bits simultaneously).
         if multicast_rate < unicast_effective {
             found_pathology = true;
-            let beam = designer.design(&users, &[]);
-            let fixed_rate = mcs.multicast_rate_mbps(&beam.member_rss_dbm);
+            let fixed_rate = mcs.multicast_rate_mbps(beam.member_rss_dbm());
             if fixed_rate > multicast_rate {
                 custom_fixes = true;
                 break;

@@ -2,7 +2,7 @@
 
 use volcast_geom::{Spherical, Vec3};
 use volcast_mmwave::{
-    combine_weights_multi, Channel, Codebook, McsTable, MultiLobeDesigner, PlanarArray,
+    combine_weights_multi, Channel, Codebook, McsTable, PlanarArray, SweepEngine,
 };
 use volcast_util::prop::prelude::*;
 
@@ -82,12 +82,8 @@ proptest! {
     fn designed_beam_never_below_best_sector(a in arb_room_pos(), b in arb_room_pos()) {
         let ch = Channel::default_setup();
         let cb = Codebook::default_for(&ch.array);
-        let d = MultiLobeDesigner::new(&ch, &cb);
-        let users = [a, b];
-        let (_, rss) = d.best_common_sector(&users, &[]);
-        let default_min = rss.into_iter().fold(f64::INFINITY, f64::min);
-        let beam = d.design(&users, &[]);
-        prop_assert!(beam.common_rss_dbm() >= default_min - 1e-9);
+        let beam = SweepEngine::new(&ch, &cb).design(&[a, b], &[]);
+        prop_assert!(beam.common_rss_dbm() >= beam.sector_common_rss_dbm());
     }
 
     #[test]

@@ -180,20 +180,20 @@ mod tests {
     }
 
     fn assert_matches_serial(threads: usize) {
-        par::set_thread_count(threads);
-        let clouds = gop_clouds(8, 2_000);
-        let cfg = CodecConfig::default();
-        let mut gop = GopEncoder::new();
-        gop.encode_gop_into(&clouds, &cfg);
-        assert_eq!(gop.len(), clouds.len());
-        let mut enc = Encoder::new();
-        let mut expect = Vec::new();
-        for (i, cloud) in clouds.iter().enumerate() {
-            let stats = enc.encode_into(cloud, &cfg, &mut expect);
-            assert_eq!(gop.frame_data(i), &expect[..], "frame {i}");
-            assert_eq!(gop.frame_stats(i), stats, "frame {i}");
-        }
-        par::set_thread_count(1);
+        par::with_thread_count(threads, || {
+            let clouds = gop_clouds(8, 2_000);
+            let cfg = CodecConfig::default();
+            let mut gop = GopEncoder::new();
+            gop.encode_gop_into(&clouds, &cfg);
+            assert_eq!(gop.len(), clouds.len());
+            let mut enc = Encoder::new();
+            let mut expect = Vec::new();
+            for (i, cloud) in clouds.iter().enumerate() {
+                let stats = enc.encode_into(cloud, &cfg, &mut expect);
+                assert_eq!(gop.frame_data(i), &expect[..], "frame {i}");
+                assert_eq!(gop.frame_stats(i), stats, "frame {i}");
+            }
+        });
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! substrate that lets a run *explain itself*: hot paths record counters,
 //! high-watermark gauges, log-scale histograms and wall-clock spans under
 //! hierarchical names (`session.frames`, `net.sim.dropped_items`,
-//! `mmwave.designer.sweeps`, `codec.cells_encoded`), and a
+//! `session.degrade.retransmits`, `codec.cells_encoded`), and a
 //! [`MetricsSnapshot`] exports the totals through the in-tree JSON layer.
 //!
 //! ## Enablement and disabled-path cost
@@ -41,7 +41,7 @@
 //! ## Naming scheme
 //!
 //! Dot-separated, `layer.component.metric`, lowercase with underscores:
-//! `session.stalls`, `net.plan.airtime_us`, `mmwave.designer.path_cache_hits`,
+//! `session.stalls`, `net.plan.airtime_us`, `session.multicast_bytes`,
 //! `codec.cell_bytes`, `viewport.visibility.maps`. Histogram names carry
 //! their unit as a suffix (`_us`, `_bytes`); span histograms are kept in a
 //! separate section and always record nanoseconds.
@@ -516,28 +516,28 @@ mod tests {
     #[test]
     fn totals_are_thread_count_invariant() {
         let _g = TEST_LOCK.lock().unwrap();
-        let orig = par::thread_count();
         let items: Vec<u64> = (0..97).collect();
         let mut reference: Option<String> = None;
         for threads in [1usize, 4] {
-            par::set_thread_count(threads);
-            set_enabled(true);
-            reset();
-            let _ = par::par_map(&items, |&x| {
-                inc("test.par.items");
-                add("test.par.sum", x);
-                record("test.par.value", x);
-                gauge("test.par.max", x as f64);
-                x
+            let json = par::with_thread_count(threads, || {
+                set_enabled(true);
+                reset();
+                let _ = par::par_map(&items, |&x| {
+                    inc("test.par.items");
+                    add("test.par.sum", x);
+                    record("test.par.value", x);
+                    gauge("test.par.max", x as f64);
+                    x
+                });
+                let json = snapshot().deterministic().to_json().to_json_string();
+                set_enabled(false);
+                json
             });
-            let json = snapshot().deterministic().to_json().to_json_string();
-            set_enabled(false);
             match &reference {
                 None => reference = Some(json),
                 Some(r) => assert_eq!(r, &json, "threads={threads}"),
             }
         }
-        par::set_thread_count(orig);
         let snap_json = reference.unwrap();
         let snap = MetricsSnapshot::from_json(&crate::json::JsonValue::parse(&snap_json).unwrap())
             .unwrap();

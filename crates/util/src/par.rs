@@ -58,6 +58,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Process-wide worker budget; 0 means "not resolved yet".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -72,7 +73,8 @@ thread_local! {
 /// Resolved lazily on first use: `VOLCAST_THREADS` if set to a positive
 /// integer, otherwise [`std::thread::available_parallelism`] (falling back
 /// to 1). The resolved value is process-wide and stable afterwards; tests
-/// and benches may override it with [`set_thread_count`].
+/// and benches may override it with [`with_thread_count`] /
+/// [`set_thread_count`].
 pub fn thread_count() -> usize {
     let t = THREADS.load(Ordering::Relaxed);
     if t != 0 {
@@ -95,10 +97,36 @@ pub fn thread_count() -> usize {
 
 /// Overrides the worker budget (clamped to at least 1).
 ///
-/// Intended for tests and benches that compare thread counts in-process;
-/// production code should use the `VOLCAST_THREADS` environment variable.
+/// Intended for benches that compare thread counts in-process; tests use
+/// [`with_thread_count`], and production code the `VOLCAST_THREADS`
+/// environment variable.
 pub fn set_thread_count(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
+}
+
+/// Serializes [`with_thread_count`] scopes process-wide.
+static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with the worker budget overridden to `n` (clamped to at least
+/// 1), then restores the previous budget, also when `f` panics.
+///
+/// Scopes hold a process-wide lock for their whole duration, so tests that
+/// compare thread counts under the parallel test harness cannot change
+/// each other's budget mid-run. Scopes must not nest (the inner one would
+/// wait on the outer one forever).
+pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_thread_count(self.0);
+        }
+    }
+    // A panicking scope poisons the lock; the budget is restored by then,
+    // so the poison carries no broken state.
+    let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = Restore(thread_count());
+    set_thread_count(n);
+    f()
 }
 
 /// `true` when the calling thread is itself a worker of an enclosing
@@ -301,149 +329,162 @@ mod tests {
         let items: Vec<u64> = (0..257).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 7).collect();
         for threads in [1, 2, 4, 8] {
-            set_thread_count(threads);
-            assert_eq!(par_map(&items, |&x| x.wrapping_mul(x) ^ 7), serial);
+            with_thread_count(threads, || {
+                assert_eq!(par_map(&items, |&x| x.wrapping_mul(x) ^ 7), serial);
+            });
         }
-        set_thread_count(4);
     }
 
     #[test]
     fn par_map_indexed_passes_indices_in_order() {
-        set_thread_count(4);
-        let items = vec!["x"; 100];
-        let out = par_map_indexed(&items, |i, _| i);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
+        with_thread_count(4, || {
+            let items = vec!["x"; 100];
+            let out = par_map_indexed(&items, |i, _| i);
+            assert_eq!(out, (0..100).collect::<Vec<_>>());
+        });
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        set_thread_count(4);
-        assert_eq!(par_map(&[] as &[u32], |&x| x), Vec::<u32>::new());
-        assert_eq!(par_map(&[5u32], |&x| x + 1), vec![6]);
-        assert_eq!(chunked(&[] as &[u32], 8, |&x| x), Vec::<u32>::new());
+        with_thread_count(4, || {
+            assert_eq!(par_map(&[] as &[u32], |&x| x), Vec::<u32>::new());
+            assert_eq!(par_map(&[5u32], |&x| x + 1), vec![6]);
+            assert_eq!(chunked(&[] as &[u32], 8, |&x| x), Vec::<u32>::new());
+        });
     }
 
     #[test]
     fn chunked_matches_map_for_all_chunk_sizes() {
-        set_thread_count(4);
-        let items: Vec<i64> = (-40..60).collect();
-        let serial: Vec<i64> = items.iter().map(|&x| 3 * x - 1).collect();
-        for chunk in [1, 2, 3, 7, 100, 1000] {
-            assert_eq!(chunked(&items, chunk, |&x| 3 * x - 1), serial);
-        }
-        // chunk_size 0 is clamped, not a panic or a hang.
-        assert_eq!(chunked(&items, 0, |&x| 3 * x - 1), serial);
+        with_thread_count(4, || {
+            let items: Vec<i64> = (-40..60).collect();
+            let serial: Vec<i64> = items.iter().map(|&x| 3 * x - 1).collect();
+            for chunk in [1, 2, 3, 7, 100, 1000] {
+                assert_eq!(chunked(&items, chunk, |&x| 3 * x - 1), serial);
+            }
+            // chunk_size 0 is clamped, not a panic or a hang.
+            assert_eq!(chunked(&items, 0, |&x| 3 * x - 1), serial);
+        });
     }
 
     #[test]
     fn par_for_each_mut_matches_serial_at_every_thread_count() {
         let serial: Vec<u64> = (0..257u64).map(|x| x.wrapping_mul(x) ^ 7).collect();
         for threads in [1, 2, 4, 8] {
-            set_thread_count(threads);
-            let mut items: Vec<u64> = (0..257).collect();
-            par_for_each_mut(&mut items, |i, x| {
-                assert_eq!(i as u64, *x);
-                *x = x.wrapping_mul(*x) ^ 7;
+            with_thread_count(threads, || {
+                let mut items: Vec<u64> = (0..257).collect();
+                par_for_each_mut(&mut items, |i, x| {
+                    assert_eq!(i as u64, *x);
+                    *x = x.wrapping_mul(*x) ^ 7;
+                });
+                assert_eq!(items, serial, "threads={threads}");
             });
-            assert_eq!(items, serial, "threads={threads}");
         }
-        set_thread_count(4);
     }
 
     #[test]
     fn par_for_each_mut_empty_and_singleton() {
-        set_thread_count(4);
-        let mut empty: Vec<u32> = Vec::new();
-        par_for_each_mut(&mut empty, |_, _| unreachable!());
-        let mut one = vec![5u32];
-        par_for_each_mut(&mut one, |i, x| *x += i as u32 + 1);
-        assert_eq!(one, vec![6]);
+        with_thread_count(4, || {
+            let mut empty: Vec<u32> = Vec::new();
+            par_for_each_mut(&mut empty, |_, _| unreachable!());
+            let mut one = vec![5u32];
+            par_for_each_mut(&mut one, |i, x| *x += i as u32 + 1);
+            assert_eq!(one, vec![6]);
+        });
     }
 
     #[test]
     fn par_for_each_mut_nested_runs_serially() {
-        set_thread_count(4);
-        let outer: Vec<u32> = (0..8).collect();
-        let out = par_map(&outer, |&x| {
-            let mut inner: Vec<u32> = (0..4).collect();
-            par_for_each_mut(&mut inner, |_, y| {
-                assert!(in_parallel_region());
-                *y += x * 10;
+        with_thread_count(4, || {
+            let outer: Vec<u32> = (0..8).collect();
+            let out = par_map(&outer, |&x| {
+                let mut inner: Vec<u32> = (0..4).collect();
+                par_for_each_mut(&mut inner, |_, y| {
+                    assert!(in_parallel_region());
+                    *y += x * 10;
+                });
+                inner.iter().sum::<u32>()
             });
-            inner.iter().sum::<u32>()
+            let expect: Vec<u32> = (0..8).map(|x| 4 * (x * 10) + 6).collect();
+            assert_eq!(out, expect);
         });
-        let expect: Vec<u32> = (0..8).map(|x| 4 * (x * 10) + 6).collect();
-        assert_eq!(out, expect);
     }
 
     #[test]
     fn par_for_each_mut_panics_propagate() {
-        set_thread_count(4);
-        let mut items: Vec<u32> = (0..64).collect();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_for_each_mut(&mut items, |_, x| {
-                if *x == 33 {
-                    panic!("boom at {x}");
-                }
-            })
-        }));
-        assert!(result.is_err(), "panic must propagate");
+        with_thread_count(4, || {
+            let mut items: Vec<u32> = (0..64).collect();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                par_for_each_mut(&mut items, |_, x| {
+                    if *x == 33 {
+                        panic!("boom at {x}");
+                    }
+                })
+            }));
+            assert!(result.is_err(), "panic must propagate");
+        });
     }
 
     #[test]
     fn panics_propagate_to_caller() {
-        set_thread_count(4);
-        let items: Vec<u32> = (0..64).collect();
-        let result = std::panic::catch_unwind(|| {
-            par_map(&items, |&x| {
-                if x == 33 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
+        with_thread_count(4, || {
+            let items: Vec<u32> = (0..64).collect();
+            let result = std::panic::catch_unwind(|| {
+                par_map(&items, |&x| {
+                    if x == 33 {
+                        panic!("boom at {x}");
+                    }
+                    x
+                })
+            });
+            let payload = result.expect_err("panic must propagate");
+            let msg = payload.downcast_ref::<String>().expect("string payload");
+            assert!(msg.contains("boom at 33"), "unexpected payload {msg}");
         });
-        let payload = result.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<String>().expect("string payload");
-        assert!(msg.contains("boom at 33"), "unexpected payload {msg}");
     }
 
     #[test]
     fn nested_regions_run_serially_and_correctly() {
-        set_thread_count(4);
-        let outer: Vec<u32> = (0..8).collect();
-        let out = par_map(&outer, |&x| {
-            assert!(thread_count() > 1);
-            // The nested region must take the serial path on this worker.
-            let inner: Vec<u32> = (0..4).collect();
-            let nested = par_map(&inner, |&y| {
-                assert!(in_parallel_region());
-                x * 10 + y
+        with_thread_count(4, || {
+            let outer: Vec<u32> = (0..8).collect();
+            let out = par_map(&outer, |&x| {
+                assert!(thread_count() > 1);
+                // The nested region must take the serial path on this worker.
+                let inner: Vec<u32> = (0..4).collect();
+                let nested = par_map(&inner, |&y| {
+                    assert!(in_parallel_region());
+                    x * 10 + y
+                });
+                nested.iter().sum::<u32>()
             });
-            nested.iter().sum::<u32>()
+            let expect: Vec<u32> = (0..8).map(|x| 4 * (x * 10) + 6).collect();
+            assert_eq!(out, expect);
+            // Back on the caller: not inside a region anymore.
+            assert!(!in_parallel_region());
         });
-        let expect: Vec<u32> = (0..8).map(|x| 4 * (x * 10) + 6).collect();
-        assert_eq!(out, expect);
-        // Back on the caller: not inside a region anymore.
-        assert!(!in_parallel_region());
     }
 
     #[test]
     fn regions_are_reusable_and_budget_is_stable() {
-        set_thread_count(3);
-        for round in 0..20 {
-            let items: Vec<usize> = (0..50).collect();
-            let out = par_map(&items, |&x| x + round);
-            assert_eq!(out[49], 49 + round);
-            assert_eq!(thread_count(), 3);
-        }
-        set_thread_count(4);
+        with_thread_count(3, || {
+            for round in 0..20 {
+                let items: Vec<usize> = (0..50).collect();
+                let out = par_map(&items, |&x| x + round);
+                assert_eq!(out[49], 49 + round);
+                assert_eq!(thread_count(), 3);
+            }
+        });
     }
 
     #[test]
     fn thread_count_is_at_least_one() {
         assert!(thread_count() >= 1);
-        set_thread_count(0); // clamped
-        assert_eq!(thread_count(), 1);
-        set_thread_count(4);
+        with_thread_count(0, || assert_eq!(thread_count(), 1)); // clamped
+    }
+
+    #[test]
+    fn panicking_scope_does_not_wedge_later_scopes() {
+        let result = std::panic::catch_unwind(|| with_thread_count(5, || panic!("boom")));
+        assert!(result.is_err());
+        with_thread_count(2, || assert_eq!(thread_count(), 2));
     }
 }

@@ -8,12 +8,12 @@
 //! Run: `cargo run --release --example beam_designer`
 
 use volcast::geom::Vec3;
-use volcast::mmwave::{Channel, Codebook, McsTable, MultiLobeDesigner};
+use volcast::mmwave::{Channel, Codebook, McsTable, SweepEngine};
 
 fn main() {
     let channel = Channel::default_setup();
     let codebook = Codebook::default_for(&channel.array);
-    let designer = MultiLobeDesigner::new(&channel, &codebook);
+    let engine = SweepEngine::new(&channel, &codebook);
     let mcs = McsTable::dmg();
 
     let u1 = Vec3::new(-2.0, 1.5, 0.5);
@@ -32,11 +32,12 @@ fn main() {
     }
 
     // Best common default sector.
-    let (sector, rss) = designer.best_common_sector(&[u1, u2], &[]);
-    let common_default = rss.iter().copied().fold(f64::INFINITY, f64::min);
+    let beam = engine.design(&[u1, u2], &[]);
+    let rss = &beam.sector_rss_dbm;
+    let common_default = beam.sector_common_rss_dbm();
     println!(
-        "\nbest common default sector #{sector}: per-user RSS {:.1} / {:.1} dBm",
-        rss[0], rss[1]
+        "\nbest common default sector #{}: per-user RSS {:.1} / {:.1} dBm",
+        beam.sector, rss[0], rss[1]
     );
     println!(
         "  -> common (min) RSS {:>6.1} dBm -> multicast {:>6.0} Mbps",
@@ -45,7 +46,6 @@ fn main() {
     );
 
     // Customized multi-lobe beam.
-    let beam = designer.design(&[u1, u2], &[]);
     println!(
         "\ncustomized beam ({}): per-user RSS {:.1} / {:.1} dBm",
         if beam.customized {
@@ -53,8 +53,8 @@ fn main() {
         } else {
             "default kept"
         },
-        beam.member_rss_dbm[0],
-        beam.member_rss_dbm[1]
+        beam.member_rss_dbm()[0],
+        beam.member_rss_dbm()[1]
     );
     println!(
         "  -> common RSS {:>6.1} dBm -> multicast {:>6.0} Mbps",
@@ -71,9 +71,8 @@ fn main() {
     let mut x = -3.0;
     while x <= 3.01 {
         let v2 = Vec3::new(x, 1.5, -0.5);
-        let (_, d) = designer.best_common_sector(&[u1, v2], &[]);
-        let d_min = d.into_iter().fold(f64::INFINITY, f64::min);
-        let b = designer.design(&[u1, v2], &[]);
+        let b = engine.design(&[u1, v2], &[]);
+        let d_min = b.sector_common_rss_dbm();
         println!(
             "{:>6.1} {:>16.0} {:>16.0} {:>12}",
             x,

@@ -67,6 +67,19 @@ VOLCAST_TRACE=1 VOLCAST_OBS_DIR="$tmp_obs" VOLCAST_THREADS=4 \
     cargo run -q --release -p volcast-bench --bin fig2a > /dev/null
 diff results/obs_fig2a.json "$tmp_obs/obs_fig2a.json"
 
+echo "==> beam figures and multi-AP extension regenerate byte-identically at both thread counts"
+# The group-beam engine's consumers outside the session: each bin runs in
+# well under a second, so the committed captures gate every redesign of
+# the sweep, the multi-lobe choice and the multi-AP coordinator.
+tmp_bin="$(mktemp)"
+for bin in fig3b fig3d fig3e ext_multiap; do
+    for threads in 1 4; do
+        VOLCAST_THREADS=$threads cargo run -q --release -p volcast-bench --bin "$bin" > "$tmp_bin"
+        diff "results/$bin.txt" "$tmp_bin"
+    done
+done
+rm -f "$tmp_bin"
+
 echo "==> fault-scenario matrix is deterministic across thread counts"
 # The fault-injection gate: every scenario's SessionOutcome FNV and obs
 # snapshot must match the committed references at 1 and 4 workers — in

@@ -5,7 +5,7 @@ use volcast::core::{
     GroupingInputs, MitigationMode, PlayerKind, SystemConfig,
 };
 use volcast::geom::Vec3;
-use volcast::mmwave::{Channel, Codebook, McsTable, MultiLobeDesigner};
+use volcast::mmwave::{Channel, Codebook, McsTable, SweepEngine};
 use volcast::net::{AdMac, MacModel};
 use volcast::pointcloud::{codec, CellGrid, DecodeModel, Ladder, QualityLevel, SyntheticBody};
 use volcast::viewport::{iou, DeviceClass, UserStudy, VisibilityComputer, VisibilityOptions};
@@ -44,13 +44,13 @@ fn content_pipeline_end_to_end() {
 fn radio_pipeline_end_to_end() {
     let channel = Channel::default_setup();
     let codebook = Codebook::default_for(&channel.array);
-    let designer = MultiLobeDesigner::new(&channel, &codebook);
+    let engine = SweepEngine::new(&channel, &codebook);
     let mcs = McsTable::dmg();
     let mac = AdMac::default();
 
     let users = [Vec3::new(-1.5, 1.5, 0.0), Vec3::new(1.5, 1.5, 0.0)];
-    let beam = designer.design(&users, &[]);
-    let rate = mcs.multicast_rate_mbps(&beam.member_rss_dbm);
+    let beam = engine.design(&users, &[]);
+    let rate = mcs.multicast_rate_mbps(beam.member_rss_dbm());
     assert!(rate > 0.0, "group in outage");
     let airtime = mac.airtime_s(500_000.0, rate, 2);
     assert!(airtime.is_finite() && airtime > 0.0);
