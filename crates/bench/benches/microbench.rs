@@ -25,7 +25,7 @@ use volcast_net::{EventQueue, SimTime};
 use volcast_pointcloud::codec::{
     decode, encode, CodecConfig, Decoder, EncodedCloud, Encoder, GopEncoder,
 };
-use volcast_pointcloud::{CellGrid, QualityLevel, SyntheticBody, VideoSequence};
+use volcast_pointcloud::{CellCensus, CellGrid, QualityLevel, SyntheticBody, VideoSequence};
 use volcast_util::json::{JsonValue, ToJson};
 use volcast_util::par;
 use volcast_util::timing::Harness;
@@ -48,6 +48,18 @@ fn bench_geometry(h: &mut Harness) {
     let grid = CellGrid::new(0.5);
     h.bench_function("cells/partition_50k_points", |b| {
         b.iter(|| grid.partition(black_box(&cloud)))
+    });
+    // The session's per-frame binning: a warm census over one analysis
+    // frame (15K points, 50 cm cells), counts written to a reused list.
+    let analysis = SyntheticBody::default().frame(0, 15_000);
+    let mut census = CellCensus::new();
+    let mut cells = Vec::new();
+    h.bench_function("cells/census_15k_points", |b| {
+        b.iter(|| {
+            census.count(&grid, black_box(&analysis).points.iter().map(|p| p.pos));
+            census.cells_into(&mut cells);
+            cells.len()
+        })
     });
 
     let partition = grid.partition(&cloud);
@@ -435,16 +447,17 @@ fn bench_codec_arena(h: &mut Harness) {
     // Pinned to 1 worker so the record stays comparable across hosts; a
     // gated 4-worker arm records the sweep's scaling where the host allows.
     let video = VideoSequence::new(7, 8);
+    let grid = CellGrid::new(0.5);
     let mut gop = GopEncoder::new();
     let orig_threads = par::thread_count();
     par::set_thread_count(1);
     h.bench_function("codec/encode_gop_8x50k_d7", |b| {
-        b.iter(|| gop.encode_video_gop_into(black_box(&video), 0, 8, 50_000, &cfg))
+        b.iter(|| gop.encode_video_gop_into(black_box(&video), 0, 8, 50_000, &grid, &cfg))
     });
     if can_bench_threads(4, "codec/encode_gop_8x50k_d7_t4") {
         par::set_thread_count(4);
         h.bench_function("codec/encode_gop_8x50k_d7_t4", |b| {
-            b.iter(|| gop.encode_video_gop_into(black_box(&video), 0, 8, 50_000, &cfg))
+            b.iter(|| gop.encode_video_gop_into(black_box(&video), 0, 8, 50_000, &grid, &cfg))
         });
     }
     par::set_thread_count(orig_threads);

@@ -9,7 +9,8 @@
 //!    predicted multi-user geometry and steer beams accordingly (proactive
 //!    mode pre-steers to the best surviving path; reactive mode serves one
 //!    stale frame and pays a full sweep),
-//! 3. build per-user visibility maps over the frame's cell partition,
+//! 3. build per-user visibility maps over the frame's non-empty cells
+//!    (per-cell point counts from a census of the analysis frame),
 //! 4. adapt quality per user (buffer-only / throughput-only / cross-layer),
 //! 5. group users by viewport similarity (`T_m(k)` model) and design the
 //!    group beams (default sectors or customized multi-lobe),
@@ -34,7 +35,7 @@ use volcast_net::{
     AcMac, AdMac, BacklogPolicy, FaultConfig, FaultPlan, MacModel, SimTime, Simulator,
     TransmissionPlan, TxItem, Wifi5Channel,
 };
-use volcast_pointcloud::{CellGrid, DecodeModel, QualityLevel, VideoSequence};
+use volcast_pointcloud::{CellGrid, CellInfo, DecodeModel, QualityLevel, VideoSequence};
 use volcast_util::{obs, par};
 use volcast_viewport::{
     size_index, BlockageEvent, BlockageForecaster, DeviceClass, JointPredictor, Trace,
@@ -144,8 +145,8 @@ impl Default for SessionParams {
 impl SessionParams {
     /// Validates the parameters, surfacing what used to be deep-loop
     /// panics (or silent nonsense) as errors: a session needs at least one
-    /// frame, a positive frame interval, a nonzero analysis density, and a
-    /// well-formed fault configuration.
+    /// frame, a positive frame interval, a nonzero analysis density, a
+    /// positive finite cell size, and a well-formed fault configuration.
     pub fn validate(&self) -> Result<(), VolcastError> {
         if self.frames == 0 {
             return Err(VolcastError::InvalidParams("frames must be >= 1".into()));
@@ -154,6 +155,12 @@ impl SessionParams {
             return Err(VolcastError::InvalidParams(
                 "analysis_points must be >= 1".into(),
             ));
+        }
+        let cell_size = self.config.cell_size;
+        if !(cell_size > 0.0 && cell_size.is_finite()) {
+            return Err(VolcastError::InvalidParams(format!(
+                "cell_size {cell_size} m must be positive and finite"
+            )));
         }
         let interval = self.config.frame_interval_s();
         if !(interval > 0.0 && interval.is_finite()) {
@@ -335,13 +342,16 @@ impl StreamingSession {
         let mut beam_rxs: Vec<SweepRx> = Vec::new();
         beam_rxs.resize_with(n, SweepRx::new);
         let mut group_beam = GroupBeam::default();
-        let mut analysis_cloud = volcast_pointcloud::PointCloud::new();
-        // Analysis clouds are produced a GOP (one second of frames) at a
-        // time: each slot generates its frame independently, so the batch
-        // sweeps across the `par` workers while staying byte-identical to
-        // the old per-frame generation at any thread count. With
-        // `encode_gop` set the same sweep also octree-encodes every frame
-        // (codec stats go to `obs`; outcomes are unaffected).
+        // The frame's non-empty cells with their analysis-density point
+        // counts; refilled every frame, never freed.
+        let mut cells: Vec<CellInfo> = Vec::new();
+        // Analysis frames are counted a GOP (one second of frames) at a
+        // time: each slot samples its frame straight into a per-cell census
+        // (no point is stored), so the batch sweeps across the `par`
+        // workers while staying byte-identical to a per-frame partition at
+        // any thread count. With `encode_gop` set the same sweep also
+        // stages and octree-encodes every frame, counting cells from the
+        // staged points (codec stats go to `obs`; outcomes are unaffected).
         let gop_len = (cfg.target_fps.round() as usize).max(1);
         let mut gop = volcast_pointcloud::codec::GopEncoder::new();
         let gop_cfg = volcast_pointcloud::codec::CodecConfig::default();
@@ -577,6 +587,8 @@ impl StreamingSession {
             unicast_phy.extend(rss.iter().map(|&r| mcs_table.phy_rate_mbps(r)));
 
             // --- 3. visibility maps ------------------------------------
+            // The frame's cells and counts come from its GOP's census;
+            // visibility, sizing and grouping need nothing else per cell.
             if f % gop_len == 0 {
                 let len = gop_len.min(self.params.frames - f);
                 if self.params.encode_gop {
@@ -585,18 +597,23 @@ impl StreamingSession {
                         f as u64,
                         len,
                         self.params.analysis_points,
+                        &grid,
                         &gop_cfg,
                     );
                 } else {
-                    gop.generate_gop(&self.video, f as u64, len, self.params.analysis_points);
+                    gop.census_gop(
+                        &self.video,
+                        f as u64,
+                        len,
+                        self.params.analysis_points,
+                        &grid,
+                    );
                 }
             }
-            gop.frame_points(f % gop_len)
-                .to_cloud_into(&mut analysis_cloud);
-            let partition = grid.partition(&analysis_cloud);
+            gop.cells_into(f % gop_len, &mut cells);
             // Per-user maps are independent; the fan-out is the frame
             // step's biggest cost at scale (one frustum + occlusion pass
-            // per user over the whole partition).
+            // per user over the frame's cells).
             let maps: Vec<_> = par::par_map_indexed(&planning_poses, |u, pose| {
                 let options = match self.params.player {
                     PlayerKind::Vanilla => VisibilityOptions::vanilla(),
@@ -605,15 +622,15 @@ impl StreamingSession {
                         ..VisibilityOptions::vivo()
                     },
                 };
-                VisibilityComputer::new(options).compute(pose, &grid, &partition)
+                VisibilityComputer::new(options).compute(pose, &grid, &cells)
             });
 
             // --- 4. quality decisions ----------------------------------
-            // Unit (analysis-density) sizes: one per partition cell, plus
+            // Unit (analysis-density) sizes: one per non-empty cell, plus
             // the id-keyed index shared by every per-user byte query below.
             unit_sizes.clear();
-            unit_sizes.extend(partition.iter().map(|c| c.point_count as f64));
-            let unit_index = size_index(&partition, &unit_sizes);
+            unit_sizes.extend(cells.iter().map(|c| c.point_count as f64));
+            let unit_index = size_index(&cells, &unit_sizes);
             let total_points: f64 = unit_sizes.iter().sum();
             needed_fraction.clear();
             needed_fraction.extend((0..n).map(|u| match self.params.player {
@@ -808,7 +825,7 @@ impl StreamingSession {
                             unit_sizes.iter().map(|s| s * base_scale).collect();
                         let mut gp = planner.plan(&GroupingInputs {
                             maps: &maps,
-                            partition: &partition,
+                            partition: &cells,
                             cell_sizes: &cell_sizes,
                             unicast_rate_mbps: &unicast_phy,
                             multicast_rate_mbps: &group_rate,
@@ -983,7 +1000,7 @@ impl StreamingSession {
                             .collect();
                         let mut gp = planner.plan(&GroupingInputs {
                             maps: &maps,
-                            partition: &partition,
+                            partition: &cells,
                             cell_sizes: &cell_sizes,
                             unicast_rate_mbps: &unicast_phy,
                             multicast_rate_mbps: &group_rate,

@@ -119,8 +119,9 @@ fn wifi5_faulted_session_completes() {
 }
 
 /// Invalid inputs are errors, not panics: zero frames, zero analysis
-/// density, a broken frame interval, an over-unity fault rate, and empty
-/// traces each come back as a descriptive `Err`.
+/// density, a non-positive or non-finite cell size, a broken frame
+/// interval, an over-unity fault rate, and empty traces each come back as
+/// a descriptive `Err`.
 #[test]
 fn invalid_inputs_are_errors_not_panics() {
     // frames = 0
@@ -137,6 +138,16 @@ fn invalid_inputs_are_errors_not_panics() {
     let mut s = quick_session(PlayerKind::Volcast, 2, 10, 1);
     s.params.config.target_fps = 0.0;
     assert!(matches!(s.run(), Err(VolcastError::InvalidParams(_))));
+
+    // cell size zero, negative, NaN or infinite
+    for size in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let mut s = quick_session(PlayerKind::Volcast, 2, 10, 1);
+        s.params.config.cell_size = size;
+        assert!(
+            matches!(s.run(), Err(VolcastError::InvalidParams(_))),
+            "cell_size {size}"
+        );
+    }
 
     // fault rate outside [0, 1]
     let mut s = quick_session(PlayerKind::Volcast, 2, 10, 1);

@@ -11,18 +11,25 @@
 //! byte-identical to a serial per-frame [`Encoder::encode_into`] — the
 //! sweep only reorders *which thread* runs a slot, never what the slot
 //! computes, so results are independent of `VOLCAST_THREADS`.
+//!
+//! Each slot also owns a [`CellCensus`]: pipelines that need only the
+//! frames' per-cell point counts run a census-only batch
+//! ([`GopEncoder::census_gop`]), and the video-GOP encode fills the same
+//! census from its staged points.
 
 use super::{CodecConfig, CodecStats, Encoder};
+use crate::cells::{CellCensus, CellGrid, CellInfo};
 use crate::point::{PointCloud, SoAPoints};
 use crate::video::VideoSequence;
 use volcast_util::par;
 use volcast_util::scratch::Pool;
 
-/// One GOP slot: a private encoder arena plus frame staging, reused across
-/// groups.
+/// One GOP slot: a private encoder arena, frame staging and cell census,
+/// reused across groups.
 struct Slot {
     enc: Encoder,
     soa: SoAPoints,
+    census: CellCensus,
     data: Vec<u8>,
     stats: CodecStats,
 }
@@ -32,6 +39,7 @@ impl Slot {
         Slot {
             enc: Encoder::new(),
             soa: SoAPoints::new(),
+            census: CellCensus::new(),
             data: Vec::new(),
             stats: CodecStats {
                 input_points: 0,
@@ -114,22 +122,43 @@ impl GopEncoder {
 
     /// Generates and encodes a whole GOP of reduced-density analysis
     /// frames (`video` frames `start..start + len` at `points` density) in
-    /// one sweep, staging each frame in its slot's SoA lanes.
+    /// one sweep, staging each frame in its slot's SoA lanes and counting
+    /// its cells on `grid` ([`GopEncoder::cells_into`]).
     ///
     /// Equivalent to `frame_with_density_into` + `encode_into` per frame;
-    /// generation and encode both run inside the parallel region.
+    /// generation, census and encode all run inside the parallel region.
     pub fn encode_video_gop_into(
         &mut self,
         video: &VideoSequence,
         start: u64,
         len: usize,
         points: usize,
+        grid: &CellGrid,
         cfg: &CodecConfig,
     ) {
         self.begin_batch(len, true);
         par::par_for_each_mut(&mut self.slots[..len], |i, slot| {
             video.frame_with_density_soa_into(start + i as u64, points, &mut slot.soa);
+            slot.census.count(grid, slot.soa.positions());
             slot.stats = slot.enc.encode_soa_into(&slot.soa, cfg, &mut slot.data);
+        });
+    }
+
+    /// Counts the cells of a GOP of analysis frames on `grid` without
+    /// storing their points (for pipelines that need only per-cell counts).
+    /// Frame `i`'s cells are available via [`GopEncoder::cells_into`] and
+    /// equal those of [`GopEncoder::encode_video_gop_into`].
+    pub fn census_gop(
+        &mut self,
+        video: &VideoSequence,
+        start: u64,
+        len: usize,
+        points: usize,
+        grid: &CellGrid,
+    ) {
+        self.begin_batch(len, false);
+        par::par_for_each_mut(&mut self.slots[..len], |i, slot| {
+            video.frame_with_density_census(start + i as u64, points, grid, &mut slot.census);
         });
     }
 
@@ -163,9 +192,19 @@ impl GopEncoder {
         self.slots[i].stats
     }
 
-    /// Frame `i`'s staged points (filled by the video-GOP entry points).
+    /// Frame `i`'s staged points (filled by
+    /// [`GopEncoder::encode_video_gop_into`] and
+    /// [`GopEncoder::generate_gop`]).
     pub fn frame_points(&self, i: usize) -> &SoAPoints {
         &self.slots[i].soa
+    }
+
+    /// Writes frame `i`'s non-empty cells into `out` (see
+    /// [`CellCensus::cells_into`]); filled by
+    /// [`GopEncoder::census_gop`] and
+    /// [`GopEncoder::encode_video_gop_into`].
+    pub fn cells_into(&self, i: usize, out: &mut Vec<CellInfo>) {
+        self.slots[i].census.cells_into(out);
     }
 }
 
@@ -212,7 +251,7 @@ mod tests {
         let cfg = CodecConfig::default();
         let mut gop = GopEncoder::new();
         // Start mid-sequence so the wrap-around indexing is exercised too.
-        gop.encode_video_gop_into(&video, 27, 6, 1_500, &cfg);
+        gop.encode_video_gop_into(&video, 27, 6, 1_500, &CellGrid::new(0.5), &cfg);
         let mut enc = Encoder::new();
         let mut cloud = PointCloud::new();
         let mut expect = Vec::new();
@@ -240,14 +279,57 @@ mod tests {
         }
     }
 
+    /// Census-only and encode batches both match the partition of the
+    /// serially generated frame, at any worker count.
+    fn assert_census_matches_partition(threads: usize) {
+        par::with_thread_count(threads, || {
+            let video = VideoSequence::new(6, 30);
+            let cfg = CodecConfig::default();
+            let mut gop = GopEncoder::new();
+            let mut cells = Vec::new();
+            let mut cloud = PointCloud::new();
+            for (start, size) in [(26u64, 0.5), (3, 0.25), (11, 0.3)] {
+                let grid = CellGrid::new(size);
+                for encode in [false, true] {
+                    if encode {
+                        gop.encode_video_gop_into(&video, start, 8, 1_200, &grid, &cfg);
+                    } else {
+                        gop.census_gop(&video, start, 8, 1_200, &grid);
+                    }
+                    for i in 0..8 {
+                        video.frame_with_density_into(start + i as u64, 1_200, &mut cloud);
+                        let expect = grid.partition(&cloud);
+                        gop.cells_into(i, &mut cells);
+                        assert_eq!(cells.len(), expect.len(), "frame {i} encode {encode}");
+                        for (c, e) in cells.iter().zip(&expect) {
+                            assert_eq!((c.id, c.point_count), (e.id, e.point_count));
+                            assert!(c.point_indices.is_empty());
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn census_gop_matches_partition_single_thread() {
+        assert_census_matches_partition(1);
+    }
+
+    #[test]
+    fn census_gop_matches_partition_eight_threads() {
+        assert_census_matches_partition(8);
+    }
+
     #[test]
     fn repeated_batches_recycle_output_buffers() {
         let video = VideoSequence::new(4, 30);
         let cfg = CodecConfig::default();
+        let grid = CellGrid::new(0.5);
         let mut gop = GopEncoder::new();
-        gop.encode_video_gop_into(&video, 0, 4, 800, &cfg);
+        gop.encode_video_gop_into(&video, 0, 4, 800, &grid, &cfg);
         let first: Vec<Vec<u8>> = (0..4).map(|i| gop.frame_data(i).to_vec()).collect();
-        gop.encode_video_gop_into(&video, 0, 4, 800, &cfg);
+        gop.encode_video_gop_into(&video, 0, 4, 800, &grid, &cfg);
         for (i, d) in first.iter().enumerate() {
             assert_eq!(gop.frame_data(i), &d[..]);
         }

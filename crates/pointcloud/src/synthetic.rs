@@ -11,6 +11,7 @@
 //! human-sized bounding box (~0.5 x 1.8 x 0.4 m), surface-distributed points,
 //! an exact target point count, and temporal coherence across frames.
 
+use crate::cells::{CellCensus, CellGrid};
 use crate::point::{Point, PointCloud, SoAPoints};
 use volcast_geom::Vec3;
 use volcast_util::rng::Rng;
@@ -32,22 +33,52 @@ impl Capsule {
         2.0 * std::f64::consts::PI * self.r * h + 4.0 * std::f64::consts::PI * self.r * self.r
     }
 
-    /// Samples one point uniformly-ish on the capsule surface.
-    fn sample(&self, rng: &mut Rng) -> Vec3 {
+    /// The capsule's sampling frame, computed once per frame and capsule
+    /// rather than once per point.
+    fn sampler(&self) -> CapsuleSampler {
         let h = (self.b - self.a).norm();
         let axis = (self.b - self.a).normalized_or(Vec3::Y);
         // Build an orthonormal frame around the axis.
         let helper = if axis.x.abs() < 0.9 { Vec3::X } else { Vec3::Y };
         let u = axis.cross(helper).normalized_or(Vec3::X);
         let v = axis.cross(u);
+        CapsuleSampler {
+            a: self.a,
+            b: self.b,
+            r: self.r,
+            h,
+            axis,
+            u,
+            v,
+            cyl_area: 2.0 * std::f64::consts::PI * self.r * h,
+            cap_area: 4.0 * std::f64::consts::PI * self.r * self.r,
+        }
+    }
+}
 
-        let cyl_area = 2.0 * std::f64::consts::PI * self.r * h;
-        let cap_area = 4.0 * std::f64::consts::PI * self.r * self.r;
-        if rng.gen::<f64>() * (cyl_area + cap_area) < cyl_area {
+/// A capsule with its sampling frame precomputed.
+struct CapsuleSampler {
+    a: Vec3,
+    b: Vec3,
+    r: f64,
+    h: f64,
+    axis: Vec3,
+    u: Vec3,
+    v: Vec3,
+    cyl_area: f64,
+    cap_area: f64,
+}
+
+impl CapsuleSampler {
+    /// Samples one point uniformly-ish on the capsule surface.
+    fn sample(&self, rng: &mut Rng) -> Vec3 {
+        if rng.gen::<f64>() * (self.cyl_area + self.cap_area) < self.cyl_area {
             // Cylinder side.
             let t = rng.gen::<f64>();
             let theta = rng.gen::<f64>() * std::f64::consts::TAU;
-            self.a + axis * (t * h) + (u * theta.cos() + v * theta.sin()) * self.r
+            self.a
+                + self.axis * (t * self.h)
+                + (self.u * theta.cos() + self.v * theta.sin()) * self.r
         } else {
             // Spherical cap (either end).
             let dir = loop {
@@ -61,7 +92,11 @@ impl Capsule {
                     break d / n;
                 }
             };
-            let center = if dir.dot(axis) >= 0.0 { self.b } else { self.a };
+            let center = if dir.dot(self.axis) >= 0.0 {
+                self.b
+            } else {
+                self.a
+            };
             center + dir * self.r
         }
     }
@@ -223,6 +258,22 @@ impl SyntheticBody {
         });
     }
 
+    /// Counts frame `frame_idx`'s points per cell of `grid` into `census`
+    /// (replacing its contents) without storing them: the same sampler and
+    /// PRNG sequence as [`SyntheticBody::frame_into`], so the counts equal
+    /// [`CellGrid::partition`] of that frame.
+    pub fn frame_census(
+        &self,
+        frame_idx: u64,
+        target_points: usize,
+        grid: &CellGrid,
+        census: &mut CellCensus,
+    ) {
+        census.reset(grid);
+        self.emit_frame(frame_idx, target_points, |pos, _| census.add(pos));
+        census.finish();
+    }
+
     /// Shared frame sampler: allocates points to capsules proportionally to
     /// surface area (remainder to the last capsule) and hands each sampled
     /// point to `emit`. All layout-specific frame generators route through
@@ -246,8 +297,9 @@ impl SyntheticBody {
                 ((cap.area() / total_area) * target_points as f64).floor() as usize
             };
             allocated += share;
+            let sampler = cap.sampler();
             for _ in 0..share {
-                let p = cap.sample(&mut rng);
+                let p = sampler.sample(&mut rng);
                 // Slight color noise for texture.
                 let jitter = rng.gen_range(-12i16..=12);
                 let col = [

@@ -1,6 +1,6 @@
 //! Volumetric video sequences: frames + quality ladder + cell sizes.
 
-use crate::cells::{CellGrid, CellInfo};
+use crate::cells::{CellCensus, CellGrid, CellInfo};
 use crate::codec::{encode, CodecConfig, CodecStats, EncodedCloud, Encoder};
 use crate::point::{PointCloud, SoAPoints};
 use crate::quality::{Quality, QualityLadder, QualityLevel};
@@ -81,6 +81,20 @@ impl VideoSequence {
     pub fn frame_with_density_soa_into(&self, idx: u64, points: usize, out: &mut SoAPoints) {
         self.body
             .frame_into_soa(idx % self.num_frames.max(1), points, out);
+    }
+
+    /// Census variant of [`VideoSequence::frame_with_density_into`]:
+    /// counts the frame's points per cell of `grid` without storing them
+    /// (see [`SyntheticBody::frame_census`]).
+    pub fn frame_with_density_census(
+        &self,
+        idx: u64,
+        points: usize,
+        grid: &CellGrid,
+        census: &mut CellCensus,
+    ) {
+        self.body
+            .frame_census(idx % self.num_frames.max(1), points, grid, census);
     }
 
     /// Encodes a frame, returning the bitstream and codec statistics.

@@ -8,7 +8,7 @@ use volcast_pointcloud::codec::{
     CodecConfig, Encoder, GopEncoder, LayeredConfig, LayeredDecoder, LayeredEncoder, LayeredFrame,
 };
 use volcast_pointcloud::{
-    codec::Decoder, codec::EncodedCloud, PointCloud, SyntheticBody, VideoSequence,
+    codec::Decoder, codec::EncodedCloud, CellGrid, PointCloud, SyntheticBody, VideoSequence,
 };
 use volcast_util::scratch::counting;
 use volcast_util::{obs, par};
@@ -139,11 +139,12 @@ fn steady_state_frame_path_does_not_allocate() {
         depth: 7,
         color_bits: 6,
     };
+    let grid = CellGrid::new(0.5);
     let mut gop = GopEncoder::new();
     let gop_pass = |gop: &mut GopEncoder| {
         let mut bytes = 0usize;
         for pass_cfg in [&cfg7, &cfg] {
-            gop.encode_video_gop_into(&video, 0, FRAMES as usize, POINTS, pass_cfg);
+            gop.encode_video_gop_into(&video, 0, FRAMES as usize, POINTS, &grid, pass_cfg);
             for i in 0..FRAMES as usize {
                 bytes += gop.frame_data(i).len();
             }

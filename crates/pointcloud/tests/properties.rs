@@ -1,10 +1,10 @@
 //! Property tests for the point-cloud substrate: codec round-trip fidelity,
-//! SIMD/scalar backend equivalence, cell-partition invariants and
-//! subsampling behaviour.
+//! SIMD/scalar backend equivalence, cell-partition invariants, census /
+//! partition equivalence and subsampling behaviour.
 
 use volcast_pointcloud::codec::simd::{self, Backend, QuantParams};
 use volcast_pointcloud::codec::{decode, encode, CodecConfig, Encoder};
-use volcast_pointcloud::{CellGrid, Point, PointCloud, SoAPoints};
+use volcast_pointcloud::{CellCensus, CellGrid, Point, PointCloud, SoAPoints};
 use volcast_util::prop::prelude::*;
 
 fn arb_point(extent: f32) -> impl Strategy<Value = Point> {
@@ -79,6 +79,58 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s), "point missing from partition");
+    }
+
+    #[test]
+    fn census_matches_partition(
+        cloud in arb_cloud(300),
+        faces in prop::collection::vec((-12i32..12, -12i32..12, -12i32..12), 0..40),
+        pick in 0u8..8,
+        free_size in 0.1f64..2.0,
+        origin in (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0),
+    ) {
+        // The paper's power-of-two sizes (the census's reciprocal fast
+        // path); 49/64 and 49/32, whose f32-exact face points land a cell
+        // low when multiplied by the rounded reciprocal instead of
+        // divided; and arbitrary sizes.
+        let size = [0.25, 0.5, 1.0, 0.765625, 1.53125, 0.375]
+            .get(pick as usize)
+            .copied()
+            .unwrap_or(free_size);
+        // A dyadic origin keeps face points exact for power-of-two sizes.
+        let origin = volcast_geom::Vec3::new(
+            (origin.0 * 8.0).round() / 8.0,
+            (origin.1 * 8.0).round() / 8.0,
+            origin.2,
+        );
+        let grid = CellGrid::with_origin(size, origin);
+        // Points on (or, where f32 cannot hold the face, next to) cell faces.
+        let mut points = cloud.points;
+        points.extend(faces.iter().map(|&(i, j, k)| {
+            let face = |n: i32, o: f64| (o + n as f64 * size) as f32;
+            Point::new(
+                [face(i, origin.x), face(j, origin.y), face(k, origin.z)],
+                [0, 0, 0],
+            )
+        }));
+        let cloud = PointCloud::from_points(points);
+        let expect = grid.partition(&cloud);
+        let mut census = CellCensus::new();
+        census.count(&grid, cloud.points.iter().map(|p| p.pos));
+        let mut cells = Vec::new();
+        census.cells_into(&mut cells);
+        prop_assert_eq!(census.len(), expect.len());
+        for (c, e) in cells.iter().zip(&expect) {
+            prop_assert_eq!(c.id, e.id);
+            prop_assert_eq!(c.point_count, e.point_count);
+            prop_assert!(c.point_indices.is_empty());
+        }
+        // The partition's ids are `cell_of`'s.
+        for c in &expect {
+            for &i in &c.point_indices {
+                prop_assert_eq!(grid.cell_of(cloud.points[i as usize].position()), c.id);
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,10 @@ echo "==> codec round-trip is allocation-free under the counting allocator"
 # tracing on — the test disables obs itself and must stay green anyway.
 VOLCAST_TRACE=1 cargo test --release -q -p volcast-pointcloud --test codec_alloc
 
+echo "==> census GOP + cells_into is allocation-free under the counting allocator"
+# The session's per-frame cell counts; own test binary for the same reason.
+VOLCAST_TRACE=1 cargo test --release -q -p volcast-pointcloud --test census_alloc
+
 echo "==> fig2a regenerates byte-identically at both thread counts"
 tmp_fig2a="$(mktemp)"
 tmp_obs="$(mktemp -d)"
