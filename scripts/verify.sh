@@ -84,6 +84,22 @@ for bin in fig3b fig3d fig3e ext_multiap; do
 done
 rm -f "$tmp_bin"
 
+echo "==> session captures regenerate byte-identically at both thread counts"
+# The session frame loop's other consumers: these captures cover the
+# Vanilla/ViVo baselines, 802.11ac, reactive mitigation, buffer-only ABR,
+# default-sector beams, oracle poses, ambient walkers and pinned quality,
+# so every branch of the loop is diffed against a committed output (about
+# 5 s per pass on 2 vCPUs). crates/core/tests/session_branches.rs pins the
+# combinations none of them reaches.
+tmp_bin="$(mktemp)"
+for bin in fig2b table1_sessions ext_ablation ext_blockage ext_prediction ext_scaling ext_sensitivity; do
+    for threads in 1 4; do
+        VOLCAST_THREADS=$threads cargo run -q --release -p volcast-bench --bin "$bin" > "$tmp_bin"
+        diff "results/$bin.txt" "$tmp_bin"
+    done
+done
+rm -f "$tmp_bin"
+
 echo "==> fault-scenario matrix is deterministic across thread counts"
 # The fault-injection gate: every scenario's SessionOutcome FNV and obs
 # snapshot must match the committed references at 1 and 4 workers — in
