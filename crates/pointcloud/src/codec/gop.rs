@@ -14,8 +14,7 @@
 //!
 //! Each slot also owns a [`CellCensus`]: pipelines that need only the
 //! frames' per-cell point counts run a census-only batch
-//! ([`GopEncoder::census_gop`]), and the video-GOP encode fills the same
-//! census from its staged points.
+//! ([`GopEncoder::census_gop`]).
 
 use super::{CodecConfig, CodecStats, Encoder};
 use crate::cells::{CellCensus, CellGrid, CellInfo};
@@ -120,34 +119,10 @@ impl GopEncoder {
         });
     }
 
-    /// Generates and encodes a whole GOP of reduced-density analysis
-    /// frames (`video` frames `start..start + len` at `points` density) in
-    /// one sweep, staging each frame in its slot's SoA lanes and counting
-    /// its cells on `grid` ([`GopEncoder::cells_into`]).
-    ///
-    /// Equivalent to `frame_with_density_into` + `encode_into` per frame;
-    /// generation, census and encode all run inside the parallel region.
-    pub fn encode_video_gop_into(
-        &mut self,
-        video: &VideoSequence,
-        start: u64,
-        len: usize,
-        points: usize,
-        grid: &CellGrid,
-        cfg: &CodecConfig,
-    ) {
-        self.begin_batch(len, true);
-        par::par_for_each_mut(&mut self.slots[..len], |i, slot| {
-            video.frame_with_density_soa_into(start + i as u64, points, &mut slot.soa);
-            slot.census.count(grid, slot.soa.positions());
-            slot.stats = slot.enc.encode_soa_into(&slot.soa, cfg, &mut slot.data);
-        });
-    }
-
     /// Counts the cells of a GOP of analysis frames on `grid` without
     /// storing their points (for pipelines that need only per-cell counts).
     /// Frame `i`'s cells are available via [`GopEncoder::cells_into`] and
-    /// equal those of [`GopEncoder::encode_video_gop_into`].
+    /// equal those of a [`CellGrid::partition`] of the frame.
     pub fn census_gop(
         &mut self,
         video: &VideoSequence,
@@ -192,17 +167,13 @@ impl GopEncoder {
         self.slots[i].stats
     }
 
-    /// Frame `i`'s staged points (filled by
-    /// [`GopEncoder::encode_video_gop_into`] and
-    /// [`GopEncoder::generate_gop`]).
+    /// Frame `i`'s staged points (filled by [`GopEncoder::generate_gop`]).
     pub fn frame_points(&self, i: usize) -> &SoAPoints {
         &self.slots[i].soa
     }
 
     /// Writes frame `i`'s non-empty cells into `out` (see
-    /// [`CellCensus::cells_into`]); filled by
-    /// [`GopEncoder::census_gop`] and
-    /// [`GopEncoder::encode_video_gop_into`].
+    /// [`CellCensus::cells_into`]); filled by [`GopEncoder::census_gop`].
     pub fn cells_into(&self, i: usize, out: &mut Vec<CellInfo>) {
         self.slots[i].census.cells_into(out);
     }
@@ -246,24 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn video_gop_matches_per_frame_pipeline() {
-        let video = VideoSequence::new(9, 30);
-        let cfg = CodecConfig::default();
-        let mut gop = GopEncoder::new();
-        // Start mid-sequence so the wrap-around indexing is exercised too.
-        gop.encode_video_gop_into(&video, 27, 6, 1_500, &CellGrid::new(0.5), &cfg);
-        let mut enc = Encoder::new();
-        let mut cloud = PointCloud::new();
-        let mut expect = Vec::new();
-        for i in 0..6 {
-            video.frame_with_density_into(27 + i as u64, 1_500, &mut cloud);
-            let stats = enc.encode_into(&cloud, &cfg, &mut expect);
-            assert_eq!(gop.frame_data(i), &expect[..], "frame {i}");
-            assert_eq!(gop.frame_stats(i), stats, "frame {i}");
-        }
-    }
-
-    #[test]
     fn generate_gop_stages_identical_points() {
         let video = VideoSequence::new(4, 30);
         let mut gop = GopEncoder::new();
@@ -279,32 +232,25 @@ mod tests {
         }
     }
 
-    /// Census-only and encode batches both match the partition of the
-    /// serially generated frame, at any worker count.
+    /// Census batches match the partition of the serially generated
+    /// frame, at any worker count.
     fn assert_census_matches_partition(threads: usize) {
         par::with_thread_count(threads, || {
             let video = VideoSequence::new(6, 30);
-            let cfg = CodecConfig::default();
             let mut gop = GopEncoder::new();
             let mut cells = Vec::new();
             let mut cloud = PointCloud::new();
             for (start, size) in [(26u64, 0.5), (3, 0.25), (11, 0.3)] {
                 let grid = CellGrid::new(size);
-                for encode in [false, true] {
-                    if encode {
-                        gop.encode_video_gop_into(&video, start, 8, 1_200, &grid, &cfg);
-                    } else {
-                        gop.census_gop(&video, start, 8, 1_200, &grid);
-                    }
-                    for i in 0..8 {
-                        video.frame_with_density_into(start + i as u64, 1_200, &mut cloud);
-                        let expect = grid.partition(&cloud);
-                        gop.cells_into(i, &mut cells);
-                        assert_eq!(cells.len(), expect.len(), "frame {i} encode {encode}");
-                        for (c, e) in cells.iter().zip(&expect) {
-                            assert_eq!((c.id, c.point_count), (e.id, e.point_count));
-                            assert!(c.point_indices.is_empty());
-                        }
+                gop.census_gop(&video, start, 8, 1_200, &grid);
+                for i in 0..8 {
+                    video.frame_with_density_into(start + i as u64, 1_200, &mut cloud);
+                    let expect = grid.partition(&cloud);
+                    gop.cells_into(i, &mut cells);
+                    assert_eq!(cells.len(), expect.len(), "frame {i}");
+                    for (c, e) in cells.iter().zip(&expect) {
+                        assert_eq!((c.id, c.point_count), (e.id, e.point_count));
+                        assert!(c.point_indices.is_empty());
                     }
                 }
             }
@@ -323,13 +269,12 @@ mod tests {
 
     #[test]
     fn repeated_batches_recycle_output_buffers() {
-        let video = VideoSequence::new(4, 30);
+        let clouds = gop_clouds(4, 800);
         let cfg = CodecConfig::default();
-        let grid = CellGrid::new(0.5);
         let mut gop = GopEncoder::new();
-        gop.encode_video_gop_into(&video, 0, 4, 800, &grid, &cfg);
+        gop.encode_gop_into(&clouds, &cfg);
         let first: Vec<Vec<u8>> = (0..4).map(|i| gop.frame_data(i).to_vec()).collect();
-        gop.encode_video_gop_into(&video, 0, 4, 800, &grid, &cfg);
+        gop.encode_gop_into(&clouds, &cfg);
         for (i, d) in first.iter().enumerate() {
             assert_eq!(gop.frame_data(i), &d[..]);
         }

@@ -206,15 +206,6 @@ impl SoAPoints {
         &self.zs
     }
 
-    /// Positions in point order.
-    pub fn positions(&self) -> impl Iterator<Item = [f32; 3]> + '_ {
-        self.xs
-            .iter()
-            .zip(&self.ys)
-            .zip(&self.zs)
-            .map(|((&x, &y), &z)| [x, y, z])
-    }
-
     /// The packed color lane (`r | g<<8 | b<<16` per point).
     pub fn colors_packed(&self) -> &[u32] {
         &self.colors
