@@ -1,11 +1,10 @@
 //! Deterministic discrete-event WLAN simulator for volcast.
 //!
-//! Event-driven in the smoltcp tradition: explicit integer-nanosecond time,
-//! a deterministic event queue, and poll-style state machines — no async
-//! runtime, no wall-clock dependence, bit-identical runs for a fixed seed.
+//! Event-driven in the smoltcp tradition: explicit integer-nanosecond time
+//! and poll-style state machines — no async runtime, no wall-clock
+//! dependence, bit-identical runs for a fixed seed.
 //!
-//! - [`SimTime`] / [`EventQueue`]: the simulation clock and ordered event
-//!   dispatch,
+//! - [`SimTime`]: the simulation clock,
 //! - [`AdMac`] / [`AcMac`]: calibrated airtime models for 802.11ad
 //!   service-period scheduling and 802.11ac contention (Table 1's two
 //!   networks),
@@ -24,17 +23,6 @@
 //!   manifest plus per-frame payload chunks) the session server speaks;
 //!   every read path is bounds-checked and returns [`wire::WireError`]
 //!   instead of panicking on malformed or hostile input.
-//!
-//! ```
-//! use volcast_net::{EventQueue, SimTime};
-//!
-//! // Events pop in time order regardless of insertion order.
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::from_millis(2.0), "later");
-//! q.schedule(SimTime::from_millis(1.0), "sooner");
-//! assert_eq!(q.pop(), Some((SimTime::from_millis(1.0), "sooner")));
-//! assert_eq!(q.pop(), Some((SimTime::from_millis(2.0), "later")));
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +33,6 @@ pub mod fec;
 pub mod link;
 pub mod mac;
 pub mod plan;
-pub mod queue;
 pub mod sim;
 pub mod time;
 pub mod wifi5;
@@ -56,7 +43,6 @@ pub use faults::{FaultConfig, FaultPlan, FrameFaults};
 pub use link::LinkState;
 pub use mac::{AcMac, AdMac, MacModel};
 pub use plan::{PlanTiming, TransmissionPlan, TxItem, TxKind};
-pub use queue::EventQueue;
 pub use sim::{BacklogPolicy, FrameOutcome, SimScratch, Simulator};
 pub use time::SimTime;
 pub use wifi5::Wifi5Channel;

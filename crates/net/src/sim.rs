@@ -3,9 +3,9 @@
 //! [`TransmissionPlan::execute`](crate::plan::TransmissionPlan::execute)
 //! times one frame's schedule in isolation. Real streaming is pipelined:
 //! frame `f+1`'s bursts queue behind whatever is still on the air from
-//! frame `f`. [`Simulator`] runs a sequence of per-frame plans through the
-//! deterministic event queue and reports absolute completion times, with a
-//! choice of backlog policies:
+//! frame `f`. [`Simulator`] runs a sequence of per-frame plans back to back
+//! on one deterministic medium timeline and reports absolute completion
+//! times, with a choice of backlog policies:
 //!
 //! - [`BacklogPolicy::Queue`]: late items keep transmitting (progressive
 //!   download semantics); backlog accumulates when the network is

@@ -11,7 +11,7 @@
 //!
 //! Encode internals (all proven bitstream-identical to the scalar
 //! pre-SoA pipeline by the `bitstream_matches_pre_simd_reference_pipeline`
-//! test and the bench harness's faithful-copy gate):
+//! test):
 //!
 //! - Quantization + Morton encoding run through [`super::simd`] (runtime
 //!   backend dispatch, scalar fallback). For `depth <=`

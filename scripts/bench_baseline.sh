@@ -3,10 +3,9 @@
 # microbench suite in --json mode, which writes BENCH_visibility.json,
 # BENCH_codebook.json, BENCH_codec.json and BENCH_session.json at the
 # repository root (median ns per iteration, host thread budget, git
-# revision). The codec report compares the reused-arena encoder against a
-# faithful copy of the pre-arena seed encoder (same bitstream, naive
-# per-call allocation); the session report times the double-buffered frame
-# loop end to end. Commit the refreshed files alongside perf-relevant
+# revision). The codec report times the reused-arena encoder and decoder
+# and the GOP-batched encode; the session report times the frame loop end
+# to end. Commit the refreshed files alongside perf-relevant
 # changes so regressions are visible in review as a plain diff.
 #
 # After the run, the fresh codec medians are compared against the
