@@ -17,9 +17,19 @@ use volcast_viewport::{group_iou, DeviceClass, UserStudy, VisibilityComputer, Vi
 
 /// Runs `work` at 1 worker and at 4 workers and asserts the serialized
 /// outputs are identical bytes.
-fn assert_thread_invariant<F: Fn() -> String>(work: F) {
-    let serial = par::with_thread_count(1, &work);
-    let parallel = par::with_thread_count(4, &work);
+///
+/// Each run gets a thread of its own, joined while the thread-count lock
+/// is held: the obs sink of the thread that ran the work flushes when that
+/// thread ends, so this way every recording lands in the registry before
+/// the next test's run can reset and read it.
+fn assert_thread_invariant<F: Fn() -> String + Sync>(work: F) {
+    let run = |threads| {
+        par::with_thread_count(threads, || {
+            std::thread::scope(|s| s.spawn(&work).join().expect("work panicked"))
+        })
+    };
+    let serial = run(1);
+    let parallel = run(4);
     assert_eq!(serial, parallel, "output depends on VOLCAST_THREADS");
 }
 
